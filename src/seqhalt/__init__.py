@@ -8,7 +8,7 @@ The pieces: ``program`` (syntax, text and bit encodings), ``threads``
 diagonal refuters for claimed solvers and interpreters).
 """
 
-from .machine import Converged, FuelExhausted, ProvenDivergent, apply, converges, reply, run
+from .machine import Converged, FuelExhausted, ProvenDivergent, apply, converges, reply, run, run_total
 from .program import (
     NOT_AN_ENCODING,
     Program,
@@ -59,7 +59,6 @@ from .halting import (
     halting_empty_unit,
     halting_op_step,
     leads_to_first_application,
-    run_total,
     swap,
     validate_solver,
 )

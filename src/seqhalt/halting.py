@@ -27,16 +27,17 @@ from typing import Sequence
 from .machine import (
     DEFAULT_FUEL,
     Converged,
-    DivergenceCause,
     FuelExhausted,
     Outcome,
     ProvenDivergent,
     run,
+    run_total,
 )
 from .program import (
     BasicInstruction,
     BwdJump,
     FwdJump,
+    Instruction,
     NegTest,
     NOT_AN_ENCODING,
     Plain,
@@ -49,10 +50,11 @@ from .program import (
     decode,
     encode,
     enumerate_programs,
+    foreign_action,
     render,
 )
-from .services import Reply, ServiceFamily, UnitService, service_step, singleton_family
-from .threads import PostCond, RegularThread, StopFalse, StopTrue, Tau, extract
+from .services import UnitService, singleton_family
+from .threads import _resolve
 from .units import (
     FunctionalUnit,
     MethodOperation,
@@ -107,32 +109,29 @@ def f2d(x: Program) -> Program:
 
 def _control_flow_converges(x: Program) -> bool:
     """Convergence of a program containing only jumps and terminators."""
-    k = len(x)
-    i = 1
-    seen: set[int] = set()
-    while True:
-        if not 1 <= i <= k:
-            return False
-        if i in seen:
-            return False
-        u = x.at(i)
-        if isinstance(u, (TermTrue, TermFalse)):
-            return True
-        if isinstance(u, FwdJump):
-            seen.add(i)
-            i += u.offset
-        elif isinstance(u, BwdJump):
-            seen.add(i)
-            i = max(i - u.offset, 0)
-        else:
-            raise AssertionError(f"basic instruction left in control-flow program: {u!r}")
+    end = _resolve(x, 1)
+    if isinstance(end, int):
+        raise AssertionError(f"basic instruction left in control-flow program: {x.at(end)!r}")
+    return end != "D"
+
+
+def _with_fixed_reply(u: Instruction, reply: bool, shift: int = 0) -> Instruction:
+    """A basic instruction whose reply is fixed becomes the forward jump to
+    the successor that reply selects, ``shift`` positions further on;
+    jumps and terminators stay as they are."""
+    if isinstance(u, Plain):
+        return FwdJump(shift + 1)
+    if isinstance(u, PosTest):
+        return FwdJump(shift + (1 if reply else 2))
+    if isinstance(u, NegTest):
+        return FwdJump(shift + (2 if reply else 1))
+    return u
 
 
 def _check_single_method(x: Program, method: str, focus: str, error: type) -> None:
-    for u in x:
-        if isinstance(u, (Plain, PosTest, NegTest)):
-            if u.action.focus != focus or u.action.method != method:
-                raise error(f"{u.action} is not {focus}.{method}")
+    action = foreign_action(x, focus, (method,))
+    if action is not None:
+        raise error(f"{action} is not {focus}.{method}")
 
 
 # --- halting over the duplication unit (decidable) -------------------------
@@ -148,40 +147,10 @@ def decide_halting_dup(x: Program, state: TapeState | None = None, focus: str = 
     on the tape state, which is accepted only for interface symmetry.
     """
     _check_single_method(x, "dup", focus, NotDupProgramError)
-    out = []
-    for u in x:
-        if isinstance(u, (Plain, PosTest)):
-            out.append(FwdJump(1))
-        elif isinstance(u, NegTest):
-            out.append(FwdJump(2))
-        else:
-            out.append(u)
-    return _control_flow_converges(Program(tuple(out)))
+    return _control_flow_converges(Program(tuple(_with_fixed_reply(u, True) for u in x)))
 
 
 # --- halting over the empty unit extended with a halting oracle ------------
-
-
-def _first_application_position(x: Program) -> int | None:
-    """Position of the basic instruction the jump chase from position 1
-    reaches, or None if execution deadlocks or terminates first."""
-    k = len(x)
-    i = 1
-    seen: set[int] = set()
-    while True:
-        if not 1 <= i <= k or i in seen:
-            return None
-        u = x.at(i)
-        if isinstance(u, FwdJump):
-            seen.add(i)
-            i += u.offset
-        elif isinstance(u, BwdJump):
-            seen.add(i)
-            i = max(i - u.offset, 0)
-        elif isinstance(u, (TermTrue, TermFalse)):
-            return None
-        else:
-            return i
 
 
 def leads_to_first_application(x: Program, i: int) -> bool:
@@ -189,17 +158,10 @@ def leads_to_first_application(x: Program, i: int) -> bool:
     instruction execution reaches (by jump chasing from position 1)."""
     if not 1 <= i <= len(x):
         raise PositionOutOfRangeError(f"position {i} not in 1..{len(x)}")
-    if not isinstance(x.at(i), (Plain, PosTest, NegTest)):
+    # Jump chasing stays where it starts exactly on a basic instruction.
+    if _resolve(x, i) != i:
         raise ValueError(f"position {i} holds no basic instruction")
-    return _first_application_position(x) == i
-
-
-def _successor_offset(u: Plain | PosTest | NegTest, reply: bool) -> int:
-    if isinstance(u, Plain):
-        return 1
-    if isinstance(u, PosTest):
-        return 1 if reply else 2
-    return 2 if reply else 1
+    return _resolve(x, 1) == i
 
 
 def _replace_halting(x: Program, first_reply: bool) -> Program:
@@ -219,29 +181,17 @@ def _replace_halting(x: Program, first_reply: bool) -> Program:
     k = len(x)
     before = []
     for position, u in enumerate(x, start=1):
-        if isinstance(u, (Plain, PosTest, NegTest)):
-            before.append(FwdJump(k + _successor_offset(u, first_reply)))
-        elif isinstance(u, FwdJump) and position + u.offset > k:
+        if isinstance(u, FwdJump) and position + u.offset > k:
             before.append(FwdJump(0))
         else:
-            before.append(u)
+            before.append(_with_fixed_reply(u, first_reply, k))
     after = []
     for position, u in enumerate(x, start=1):
-        if isinstance(u, (Plain, PosTest, NegTest)):
-            after.append(FwdJump(_successor_offset(u, False)))
-        elif isinstance(u, BwdJump) and u.offset >= position:
+        if isinstance(u, BwdJump) and u.offset >= position:
             after.append(FwdJump(0))
         else:
-            after.append(u)
+            after.append(_with_fixed_reply(u, False))
     return Program(tuple(before + after))
-
-
-def _is_halting_program(y: Program, focus: str = "f") -> bool:
-    return all(
-        u.action.focus == focus and u.action.method == "halting"
-        for u in y
-        if isinstance(u, (Plain, PosTest, NegTest))
-    )
 
 
 @lru_cache(maxsize=None)
@@ -253,15 +203,23 @@ def _decide_given_first_reply(y: Program, first_reply: bool) -> bool:
 def _halting_reply(content: str) -> bool:
     """Reply of the halting operation on a tape with this content: True
     iff the part before the first ':' encodes a halting-unit program
-    that halts on the rest."""
-    cut = content.find(":")
-    if cut < 0:
-        return False
-    y = decode(content[:cut])
-    if y is NOT_AN_ENCODING or not _is_halting_program(y):
-        return False
-    rest = content[cut + 1 :]
-    return _decide_given_first_reply(y, _halting_reply(rest))
+    that halts on the rest.
+
+    The rest is answered the same way, so the reply folds from the right
+    over the leading segments that encode halting-unit programs, starting
+    from False (the reply on a content without such a segment).  A loop,
+    not recursion, so any number of segments is answered.
+    """
+    programs = []
+    for segment in content.split(":")[:-1]:
+        y = decode(segment)
+        if y is NOT_AN_ENCODING or foreign_action(y, "f", ("halting",)) is not None:
+            break
+        programs.append(y)
+    reply = False
+    for y in reversed(programs):
+        reply = _decide_given_first_reply(y, reply)
+    return reply
 
 
 def decide_halting_empty_ext(x: Program, state: TapeState, focus: str = "f") -> bool:
@@ -320,71 +278,19 @@ def diag_solver_alt(x: Program) -> Program:
     return f2d(swap(_dup_prefixed(x)))
 
 
-# --- total evaluation for declared-constant replies -------------------------
+# --- proving runs -------------------------------------------------------------
 
 
-def run_total(x: Program | RegularThread, family: ServiceFamily) -> Outcome:
-    """Run to a definite outcome when every method involved has a declared
-    state-independent reply.
-
-    Then each node has a fixed successor, so revisiting a node closes an
-    infinite loop: divergence is proven by pigeonhole instead of fuel.
-    """
-    thread = x if isinstance(x, RegularThread) else extract(x)
-    for node in thread.nodes.values():
-        if isinstance(node, PostCond) and isinstance(node.action, BasicInstruction):
-            service = family.entries.get(node.action.focus)
-            if isinstance(service, UnitService):
-                op = service.unit.operations.get(node.action.method)
-                if op is not None and op.constant_reply is None:
-                    raise ValueError(
-                        f"{node.action} has no declared constant reply; use run()"
-                    )
-    entries = dict(family.entries)
-    current = thread.root
-    steps = 0
-    visited: set = set()
-    while True:
-        node = thread.nodes[current]
-        if isinstance(node, StopTrue):
-            return Converged(True, ServiceFamily(entries), steps)
-        if isinstance(node, StopFalse):
-            return Converged(False, ServiceFamily(entries), steps)
-        if not isinstance(node, PostCond):
-            return ProvenDivergent(DivergenceCause.DEADLOCK, steps)
-        if current in visited:
-            return ProvenDivergent(DivergenceCause.CYCLE, steps)
-        visited.add(current)
-        if isinstance(node.action, Tau):
-            steps += 1
-            current = node.then_ref
-            continue
-        service = entries.get(node.action.focus)
-        if service is None:
-            return ProvenDivergent(DivergenceCause.MISSING_FOCUS, steps)
-        reply, successor = service_step(service, node.action.method)
-        if reply is Reply.DIVERGENT:
-            return ProvenDivergent(DivergenceCause.REPLY_D, steps)
-        op = service.unit.operations[node.action.method]
-        if (reply is Reply.TRUE) != op.constant_reply:
-            raise AssertionError(f"declared constant reply violated by {node.action}")
-        entries[node.action.focus] = successor
-        steps += 1
-        current = node.then_ref if reply is Reply.TRUE else node.else_ref
-
-
-def _methods_constant(x: Program, unit: FunctionalUnit) -> bool:
-    ops = unit.operations
-    return all(
-        ops[u.action.method].constant_reply is not None
-        for u in x
-        if isinstance(u, (Plain, PosTest, NegTest))
-    )
+def _methods_constant(x: Program, unit: FunctionalUnit, focus: str) -> bool:
+    constant = {name for name, op in unit.operations.items() if op.constant_reply is not None}
+    return foreign_action(x, focus, constant) is None
 
 
 def _proving_run(x: Program, unit: FunctionalUnit, state: TapeState, fuel: int, focus: str) -> Outcome:
+    """run_total when every method x uses has a declared constant reply,
+    the fuel-bounded run otherwise."""
     family = singleton_family(focus, UnitService(unit, state))
-    if _methods_constant(x, unit):
+    if _methods_constant(x, unit, focus):
         return run_total(x, family)
     return run(x, family, fuel)
 
@@ -430,12 +336,11 @@ def _check_instance(x: Program, inst: HaltingInstance, focus: str) -> None:
         raise HypothesisViolationError("instance unit has no dup operation")
     if "dup" not in inst.program_methods:
         raise HypothesisViolationError("dup not among the instance's program methods")
-    for u in x:
-        if isinstance(u, (Plain, PosTest, NegTest)):
-            if u.action.focus != focus:
-                raise HypothesisViolationError(f"{u.action} uses a foreign focus")
-            if u.action.method not in interface(inst.unit):
-                raise HypothesisViolationError(f"{u.action.method!r} not in the unit interface")
+    action = foreign_action(x, focus, interface(inst.unit))
+    if action is not None and action.focus != focus:
+        raise HypothesisViolationError(f"{action} uses a foreign focus")
+    if action is not None:
+        raise HypothesisViolationError(f"{action.method!r} not in the unit interface")
 
 
 def validate_solver(
@@ -485,6 +390,7 @@ def replay_verdict(
     recorded discrepancy reappears."""
     if inst is None:
         inst = dup_instance()
+    _check_instance(x, inst, focus)
     if isinstance(verdict, NotRefuted):
         return True
     if isinstance(verdict, RefutedByDivergence):
@@ -593,9 +499,11 @@ def check_interpreter(
     _check_instance(x, inst, focus)
     checks = []
     for y, v in samples:
-        for u in y:
-            if isinstance(u, (Plain, PosTest, NegTest)) and u.action.method not in inst.program_methods:
-                raise HypothesisViolationError(f"sample uses {u.action.method!r}")
+        action = foreign_action(y, focus, inst.program_methods)
+        if action is not None and action.focus != focus:
+            raise HypothesisViolationError(f"sample {action} uses a foreign focus")
+        if action is not None:
+            raise HypothesisViolationError(f"sample uses {action.method!r}")
         checks.append(_check_sample(x, inst, y, v.content, fuel, focus))
     y0 = diag_interpreter(x)
     diagonal = _check_sample(x, inst, y0, encode(y0), fuel, focus)

@@ -4,27 +4,33 @@ Each step performs the current node's action on the service named by its
 focus and follows the branch the reply selects.  Termination yields the
 delivered boolean and the final family.  Divergence is reported only
 when proven: deadlock, a missing focus, a Divergent reply, or a repeated
-(node, family-state) configuration.  Loops that keep growing the state
-exhaust their fuel instead; the evaluator never claims a divergence it
-cannot prove.
+configuration.  One step loop serves both evaluators; they differ only
+in the configuration key.  ``run`` keys on (node, family state), so
+loops that keep growing the state exhaust their fuel instead: the
+evaluator never claims a divergence it cannot prove.  ``run_total`` keys
+on the node only, which is sound when every reply involved has a
+declared state-independent value: each node then has a fixed successor,
+so revisiting one closes an infinite loop.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Hashable, Union
 
-from .program import Program
+from .program import BasicInstruction, Program
 from .services import (
     Reply,
+    Service,
     ServiceFamily,
+    UnitService,
     empty_family,
     family_key,
     format_family,
     service_step,
 )
-from .threads import DEADLOCK, PostCond, RegularThread, StopFalse, StopTrue, Tau, extract
+from .threads import PostCond, RegularThread, StopFalse, StopTrue, Tau, extract
 
 DEFAULT_FUEL = 10**6
 
@@ -64,16 +70,16 @@ def _as_thread(x: Program | RegularThread) -> RegularThread:
     return x if isinstance(x, RegularThread) else extract(x)
 
 
-def run(
-    x: Program | RegularThread,
+def _step_loop(
+    thread: RegularThread,
     family: ServiceFamily,
-    fuel: int = DEFAULT_FUEL,
-    trace: list[str] | None = None,
+    fuel: float,
+    trace: list[str] | None,
+    state_key: Callable[[dict[str, Service]], Hashable],
 ) -> Outcome:
-    """Small-step execution; deterministic and monotone in fuel."""
-    if fuel < 1:
-        raise ValueError("fuel must be at least 1")
-    thread = _as_thread(x)
+    """The step loop of both evaluators.  A configuration is the current
+    node paired with ``state_key`` of the family's entries; a repeated
+    configuration proves a cycle."""
     entries = dict(family.entries)
     current = thread.root
     steps = 0
@@ -86,7 +92,7 @@ def run(
             return Converged(False, ServiceFamily(entries), steps)
         if not isinstance(node, PostCond):
             return ProvenDivergent(DivergenceCause.DEADLOCK, steps)
-        configuration = (current, family_key(entries))
+        configuration = (current, state_key(entries))
         if configuration in seen:
             return ProvenDivergent(DivergenceCause.CYCLE, steps)
         if steps >= fuel:
@@ -114,6 +120,40 @@ def run(
                 f"pc={current} action={node.action} reply={reply} state={format_family(entries)}"
             )
         current = node.then_ref if reply is Reply.TRUE else node.else_ref
+
+
+def run(
+    x: Program | RegularThread,
+    family: ServiceFamily,
+    fuel: int = DEFAULT_FUEL,
+    trace: list[str] | None = None,
+) -> Outcome:
+    """Small-step execution; deterministic and monotone in fuel."""
+    if fuel < 1:
+        raise ValueError("fuel must be at least 1")
+    return _step_loop(_as_thread(x), family, fuel, trace, family_key)
+
+
+def run_total(x: Program | RegularThread, family: ServiceFamily) -> Outcome:
+    """Run to a definite outcome when every method involved has a declared
+    state-independent reply.
+
+    Then each node has a fixed successor, so revisiting a node closes an
+    infinite loop: divergence is proven by pigeonhole instead of fuel.
+    """
+    thread = _as_thread(x)
+    for node in thread.nodes.values():
+        if isinstance(node, PostCond) and isinstance(node.action, BasicInstruction):
+            service = family.entries.get(node.action.focus)
+            if isinstance(service, UnitService):
+                op = service.unit.operations.get(node.action.method)
+                if op is not None and op.constant_reply is None:
+                    raise ValueError(
+                        f"{node.action} has no declared constant reply; use run()"
+                    )
+    # The configuration is the node only.  A run without repeated nodes
+    # takes fewer steps than the thread has nodes, so it needs no fuel.
+    return _step_loop(thread, family, float("inf"), None, lambda entries: None)
 
 
 def reply(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Container, Iterable, Iterator, Sequence, Union
 
 _FOCUS_RE = re.compile(r"[a-z][a-z0-9]*\Z")
 # Method names may carry colon-separated selector segments, e.g. "write:0".
@@ -134,6 +134,16 @@ class Program:
 
 def make(*instructions: Instruction) -> Program:
     return Program(tuple(instructions))
+
+
+def foreign_action(x: Program, focus: str, methods: Container[str]) -> BasicInstruction | None:
+    """The first basic action of x that is off ``focus`` or whose method is
+    not in ``methods``; None when x stays inside that program class."""
+    for u in x:
+        if isinstance(u, (Plain, PosTest, NegTest)):
+            if u.action.focus != focus or u.action.method not in methods:
+                return u.action
+    return None
 
 
 def _render_one(u: Instruction) -> str:

@@ -6,6 +6,8 @@ to services, each name occurring once; composing two families that share
 a name collapses that name to the empty service.  ``service_step`` is
 the one-step protocol: a known method replies True/False and steps the
 state, an unknown method replies Divergent and the service collapses.
+A reply that contradicts the operation's declared constant reply is a
+bug in the unit and raises AssertionError.
 """
 
 from __future__ import annotations
@@ -85,6 +87,10 @@ def service_step(service: Service, method: str) -> tuple[Reply, Service]:
     if op is None:
         return Reply.DIVERGENT, EMPTY_SERVICE
     reply, state = op.step(service.state)
+    if op.constant_reply is not None and reply != op.constant_reply:
+        raise AssertionError(
+            f"declared constant reply violated by {service.unit.name}.{method}"
+        )
     return Reply.from_bool(reply), UnitService(service.unit, state)
 
 

@@ -23,12 +23,12 @@ from .program import (
     BasicInstruction,
     BwdJump,
     FwdJump,
-    NegTest,
     Plain,
     PosTest,
     Program,
     TERM_FALSE,
     TERM_TRUE,
+    foreign_action,
 )
 from .threads import extract
 
@@ -291,13 +291,11 @@ def derived_operation(
     Returns Applied(reply, state) on termination, UNDEFINED on proven
     divergence, UNKNOWN when the fuel runs out first.
     """
-    methods = interface(unit)
-    for u in x:
-        if isinstance(u, (Plain, PosTest, NegTest)):
-            if u.action.focus != focus:
-                raise WrongFocusError(f"{u.action} does not use focus {focus!r}")
-            if u.action.method not in methods:
-                raise UnknownMethodError(f"{u.action.method!r} not in interface of {unit.name}")
+    action = foreign_action(x, focus, interface(unit))
+    if action is not None and action.focus != focus:
+        raise WrongFocusError(f"{action} does not use focus {focus!r}")
+    if action is not None:
+        raise UnknownMethodError(f"{action.method!r} not in interface of {unit.name}")
     thread = extract(x)
 
     def evaluate(state: Any) -> Applied | _Sentinel:

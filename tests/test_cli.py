@@ -1,6 +1,13 @@
+import hashlib
+import io
 import json
+from contextlib import redirect_stdout
+from pathlib import Path
 
 from seqhalt.cli import main
+from seqhalt.program import encode, parse
+
+GOLDEN_CLI = Path(__file__).resolve().parent.parent / "benchmarks" / "golden_cli.json"
 
 
 def invoke(capsys, *argv):
@@ -114,6 +121,16 @@ def test_check_interpreter(capsys):
     assert "fail-apply" in out and "passed=false" in out
 
 
+def test_decide_many_halting_segments(capsys):
+    # Each segment answers for the rest of the tape, so the reply flips
+    # once per segment; thousands of them must not exhaust the stack.
+    segment = encode(parse("-f.halting;!t;#0"))
+    for count, expected in ((2000, "True"), (2001, "False")):
+        tape = "|" + ":".join([segment] * count)
+        code, out, err = invoke(capsys, "decide", "--unit", "halting-empty", "+f.halting;!t;#0", tape)
+        assert (code, out.strip(), err) == (0, expected, "")
+
+
 def test_sweep_suites(capsys):
     code, out, _ = invoke(capsys, "sweep", "--suite", "dup-decider", "--max-len", "2")
     assert code == 0 and out.strip() == "agree=182 disagree=0"
@@ -133,3 +150,17 @@ def test_outputs_reproducible(capsys):
     first = invoke(capsys, "validate-solver", "+f.dup;!t;!f", "--json")
     second = invoke(capsys, "validate-solver", "+f.dup;!t;!f", "--json")
     assert first == second
+
+
+def test_golden_cli_lines():
+    """Every line of the benchmark's golden cli pool prints byte-identical
+    output with the recorded exit code."""
+    mismatches = []
+    for line in json.loads(GOLDEN_CLI.read_text())["lines"]:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(list(line["argv"]))
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        if (code, digest) != (line["exit"], line["stdout_sha256"]):
+            mismatches.append(line["argv"])
+    assert not mismatches

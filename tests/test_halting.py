@@ -394,6 +394,10 @@ class TestValidateSolver:
         with pytest.raises(HypothesisViolationError):
             validate_solver(parse("f.mvl;!t"))
 
+    def test_replay_checks_hypothesis(self):
+        with pytest.raises(HypothesisViolationError):
+            replay_verdict(parse("f.mvl;!t"), validate_solver(parse("!t")))
+
     def test_record_fields(self):
         record = verdict_record(parse("!t"), validate_solver(parse("!t")))
         assert set(record) == {
@@ -430,8 +434,9 @@ class TestCheckInterpreter:
         assert report.samples[0].status == "skipped-divergent"
 
     def test_sample_methods_validated(self):
-        with pytest.raises(HypothesisViolationError):
-            check_interpreter(parse("!t"), samples=[(parse("f.mvl;!t"), at_left(""))])
+        for sample in ("f.mvl;!t", "g.dup;!t"):
+            with pytest.raises(HypothesisViolationError):
+                check_interpreter(parse("!t"), samples=[(parse(sample), at_left(""))])
 
 
 class TestTransformReplyLaws:

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,11 +14,12 @@ from seqhalt.machine import (
     converges,
     reply,
     run,
+    run_total,
 )
 from seqhalt.program import parse
 from seqhalt.services import Reply, UnitService, empty_family, singleton_family
 from seqhalt.threads import PostCond, RegularThread, STOP_TRUE, TAU
-from seqhalt.units import at_left, counter_unit, dup_unit
+from seqhalt.units import FunctionalUnit, MethodOperation, at_left, counter_unit, dup_unit
 
 
 def counter_family(n=0):
@@ -108,6 +110,15 @@ class TestRun:
             first = run(x, fam, 100)
             if not isinstance(first, FuelExhausted):
                 assert run(x, fam, 1000) == first
+
+    def test_lying_unit_caught_on_every_path(self):
+        liar = FunctionalUnit(
+            "liar", "counter", {"m": MethodOperation("m", lambda n: (False, n), constant_reply=True)}, str, int
+        )
+        fam = singleton_family("f", UnitService(liar, 0))
+        for evaluate in (run, run_total):
+            with pytest.raises(AssertionError, match="declared constant reply"):
+                evaluate(parse("f.m;!t"), fam)
 
 
 class TestProjectionsOfRun:
