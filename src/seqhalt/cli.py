@@ -14,9 +14,6 @@ import json
 import sys
 
 from .halting import (
-    HypothesisViolationError,
-    NotDupProgramError,
-    NotHaltingProgramError,
     NotRefuted,
     check_interpreter,
     decide_halting_dup,
@@ -31,19 +28,9 @@ from .halting import (
     verdict_record,
 )
 from .machine import Converged, DEFAULT_FUEL, ProvenDivergent, run
-from .program import NOT_AN_ENCODING, ProgramSyntaxError, decode, encode, parse, render
+from .program import NOT_AN_ENCODING, decode, encode, parse, render
 from .services import format_family, parse_family
 from .units import parse_tape
-
-_USAGE_ERRORS = (
-    ProgramSyntaxError,
-    NotDupProgramError,
-    NotHaltingProgramError,
-    HypothesisViolationError,
-    ValueError,
-    KeyError,
-)
-
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
@@ -245,9 +232,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Every usage and parse error is a ValueError; anything else is a bug
+    # and keeps its traceback.
     try:
         return args.func(args)
-    except _USAGE_ERRORS as error:
+    except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

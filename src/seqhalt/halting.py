@@ -16,6 +16,11 @@ that program halts on that input:
   program class it is supposed to cover,
 * ``validate_solver``/``check_interpreter``: refuters that evaluate a
   candidate on its own diagonal and report a replayable witness.
+
+The program class is fixed: every basic instruction uses the focus
+``program.FOCUS``, which is ``f``, the focus of the diagonal's leading
+``f.dup``.  A program with a basic instruction on another focus is
+rejected.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .machine import (
     run_total,
 )
 from .program import (
+    FOCUS,
     BasicInstruction,
     BwdJump,
     FwdJump,
@@ -128,16 +134,16 @@ def _with_fixed_reply(u: Instruction, reply: bool, shift: int = 0) -> Instructio
     return u
 
 
-def _check_single_method(x: Program, method: str, focus: str, error: type) -> None:
-    action = foreign_action(x, focus, (method,))
+def _check_single_method(x: Program, method: str, error: type) -> None:
+    action = foreign_action(x, (method,))
     if action is not None:
-        raise error(f"{action} is not {focus}.{method}")
+        raise error(f"{action} is not {FOCUS}.{method}")
 
 
 # --- halting over the duplication unit (decidable) -------------------------
 
 
-def decide_halting_dup(x: Program, state: TapeState | None = None, focus: str = "f") -> bool:
+def decide_halting_dup(x: Program, state: TapeState | None = None) -> bool:
     """Decide whether a program over the duplication unit halts.
 
     The dup reply is True on every state, so each occurrence can be
@@ -146,7 +152,7 @@ def decide_halting_dup(x: Program, state: TapeState | None = None, focus: str = 
     remaining control flow checked finitely.  The answer does not depend
     on the tape state, which is accepted only for interface symmetry.
     """
-    _check_single_method(x, "dup", focus, NotDupProgramError)
+    _check_single_method(x, "dup", NotDupProgramError)
     return _control_flow_converges(Program(tuple(_with_fixed_reply(u, True) for u in x)))
 
 
@@ -213,7 +219,7 @@ def _halting_reply(content: str) -> bool:
     programs = []
     for segment in content.split(":")[:-1]:
         y = decode(segment)
-        if y is NOT_AN_ENCODING or foreign_action(y, "f", ("halting",)) is not None:
+        if y is NOT_AN_ENCODING or foreign_action(y, ("halting",)) is not None:
             break
         programs.append(y)
     reply = False
@@ -222,7 +228,7 @@ def _halting_reply(content: str) -> bool:
     return reply
 
 
-def decide_halting_empty_ext(x: Program, state: TapeState, focus: str = "f") -> bool:
+def decide_halting_empty_ext(x: Program, state: TapeState) -> bool:
     """Decide whether a program over the halting-extended empty unit
     halts on the given state, by induction on the number of ':' in it.
 
@@ -231,7 +237,7 @@ def decide_halting_empty_ext(x: Program, state: TapeState, focus: str = "f") -> 
     every later application resolves as False and the rest is a finite
     control-flow check over the two-copy rewriting.
     """
-    _check_single_method(x, "halting", focus, NotHaltingProgramError)
+    _check_single_method(x, "halting", NotHaltingProgramError)
     return _decide_given_first_reply(x, _halting_reply(state.content))
 
 
@@ -258,8 +264,8 @@ def halting_empty_unit() -> FunctionalUnit:
 # --- diagonal constructions -------------------------------------------------
 
 
-def _dup_prefixed(x: Program, focus: str = "f") -> Program:
-    return Program((Plain(BasicInstruction(focus, "dup")),) + x.instructions)
+def _dup_prefixed(x: Program) -> Program:
+    return Program((Plain(BasicInstruction(FOCUS, "dup")),) + x.instructions)
 
 
 def diag_interpreter(x: Program) -> Program:
@@ -281,16 +287,12 @@ def diag_solver_alt(x: Program) -> Program:
 # --- proving runs -------------------------------------------------------------
 
 
-def _methods_constant(x: Program, unit: FunctionalUnit, focus: str) -> bool:
-    constant = {name for name, op in unit.operations.items() if op.constant_reply is not None}
-    return foreign_action(x, focus, constant) is None
-
-
-def _proving_run(x: Program, unit: FunctionalUnit, state: TapeState, fuel: int, focus: str) -> Outcome:
+def _proving_run(x: Program, unit: FunctionalUnit, state: TapeState, fuel: int) -> Outcome:
     """run_total when every method x uses has a declared constant reply,
     the fuel-bounded run otherwise."""
-    family = singleton_family(focus, UnitService(unit, state))
-    if _methods_constant(x, unit, focus):
+    family = singleton_family(FOCUS, UnitService(unit, state))
+    constant = {name for name, op in unit.operations.items() if op.constant_reply is not None}
+    if foreign_action(x, constant) is None:
         return run_total(x, family)
     return run(x, family, fuel)
 
@@ -331,13 +333,13 @@ class NotRefuted:
 SolverVerdict = RefutedByDivergence | RefutedByWrongReply | NotRefuted
 
 
-def _check_instance(x: Program, inst: HaltingInstance, focus: str) -> None:
+def _check_instance(x: Program, inst: HaltingInstance) -> None:
     if "dup" not in interface(inst.unit):
         raise HypothesisViolationError("instance unit has no dup operation")
     if "dup" not in inst.program_methods:
         raise HypothesisViolationError("dup not among the instance's program methods")
-    action = foreign_action(x, focus, interface(inst.unit))
-    if action is not None and action.focus != focus:
+    action = foreign_action(x, interface(inst.unit))
+    if action is not None and action.focus != FOCUS:
         raise HypothesisViolationError(f"{action} uses a foreign focus")
     if action is not None:
         raise HypothesisViolationError(f"{action.method!r} not in the unit interface")
@@ -348,7 +350,6 @@ def validate_solver(
     inst: HaltingInstance | None = None,
     fuel: int = DEFAULT_FUEL,
     form: str = "first",
-    focus: str = "f",
 ) -> SolverVerdict:
     """Try to refute a claimed halting solver by its own diagonal.
 
@@ -359,18 +360,18 @@ def validate_solver(
     """
     if inst is None:
         inst = dup_instance()
-    _check_instance(x, inst, focus)
+    _check_instance(x, inst)
     builder = {"first": diag_solver, "second": diag_solver_alt}[form]
     y = builder(x)
     ybar = encode(y)
     diagonal_state = at_left(f"{ybar}:{ybar}")
     y_state = at_left(ybar)
-    out_x = _proving_run(x, inst.unit, diagonal_state, fuel, focus)
+    out_x = _proving_run(x, inst.unit, diagonal_state, fuel)
     if isinstance(out_x, ProvenDivergent):
         return RefutedByDivergence(diagonal_state, out_x.steps)
     if isinstance(out_x, FuelExhausted):
         return NotRefuted(fuel)
-    out_y = _proving_run(y, inst.unit, y_state, fuel, focus)
+    out_y = _proving_run(y, inst.unit, y_state, fuel)
     if isinstance(out_y, FuelExhausted):
         return NotRefuted(fuel)
     actual = isinstance(out_y, Converged)
@@ -384,22 +385,21 @@ def replay_verdict(
     verdict: SolverVerdict,
     inst: HaltingInstance | None = None,
     fuel: int = DEFAULT_FUEL,
-    focus: str = "f",
 ) -> bool:
     """Re-run the evaluator on a verdict's witness and confirm the
     recorded discrepancy reappears."""
     if inst is None:
         inst = dup_instance()
-    _check_instance(x, inst, focus)
+    _check_instance(x, inst)
     if isinstance(verdict, NotRefuted):
         return True
     if isinstance(verdict, RefutedByDivergence):
-        out = _proving_run(x, inst.unit, verdict.witness_state, fuel, focus)
+        out = _proving_run(x, inst.unit, verdict.witness_state, fuel)
         return isinstance(out, ProvenDivergent)
     y = verdict.witness_program
     ybar = encode(y)
-    out_x = _proving_run(x, inst.unit, at_left(f"{ybar}:{ybar}"), fuel, focus)
-    out_y = _proving_run(y, inst.unit, verdict.witness_state, fuel, focus)
+    out_x = _proving_run(x, inst.unit, at_left(f"{ybar}:{ybar}"), fuel)
+    out_y = _proving_run(y, inst.unit, verdict.witness_state, fuel)
     if isinstance(out_x, (FuelExhausted, ProvenDivergent)) or isinstance(out_y, FuelExhausted):
         return False
     return out_x.reply == verdict.claimed and isinstance(out_y, Converged) == verdict.actual
@@ -456,16 +456,16 @@ class InterpreterReport:
 
 
 def _check_sample(
-    x: Program, inst: HaltingInstance, y: Program, word: str, fuel: int, focus: str
+    x: Program, inst: HaltingInstance, y: Program, word: str, fuel: int
 ) -> SampleCheck:
     y_state = at_left(word)
-    out_y = _proving_run(y, inst.unit, y_state, fuel, focus)
+    out_y = _proving_run(y, inst.unit, y_state, fuel)
     if isinstance(out_y, FuelExhausted):
         return SampleCheck(y, y_state, "unknown", "sample did not resolve")
     if isinstance(out_y, ProvenDivergent):
         return SampleCheck(y, y_state, "skipped-divergent", "sample program diverges")
     x_state = at_left(f"{encode(y)}:{word}")
-    out_x = _proving_run(x, inst.unit, x_state, fuel, focus)
+    out_x = _proving_run(x, inst.unit, x_state, fuel)
     if isinstance(out_x, FuelExhausted):
         return SampleCheck(y, y_state, "unknown", "candidate did not resolve")
     if isinstance(out_x, ProvenDivergent):
@@ -484,7 +484,6 @@ def check_interpreter(
     inst: HaltingInstance | None = None,
     samples: Sequence[tuple[Program, TapeState]] = (),
     fuel: int = DEFAULT_FUEL,
-    focus: str = "f",
 ) -> InterpreterReport:
     """Check interpreter-style agreement on samples and on the diagonal.
 
@@ -496,17 +495,17 @@ def check_interpreter(
     """
     if inst is None:
         inst = dup_instance()
-    _check_instance(x, inst, focus)
+    _check_instance(x, inst)
     checks = []
     for y, v in samples:
-        action = foreign_action(y, focus, inst.program_methods)
-        if action is not None and action.focus != focus:
+        action = foreign_action(y, inst.program_methods)
+        if action is not None and action.focus != FOCUS:
             raise HypothesisViolationError(f"sample {action} uses a foreign focus")
         if action is not None:
             raise HypothesisViolationError(f"sample uses {action.method!r}")
-        checks.append(_check_sample(x, inst, y, v.content, fuel, focus))
+        checks.append(_check_sample(x, inst, y, v.content, fuel))
     y0 = diag_interpreter(x)
-    diagonal = _check_sample(x, inst, y0, encode(y0), fuel, focus)
+    diagonal = _check_sample(x, inst, y0, encode(y0), fuel)
     passed = diagonal.status == "ok" and all(c.status == "ok" for c in checks)
     return InterpreterReport(x, tuple(checks), diagonal, passed)
 
@@ -542,7 +541,7 @@ def sweep_dup_decider(max_len: int) -> dict:
         decided = decide_halting_dup(x)
         oracle_answers = []
         for state in states:
-            out = run_total(x, singleton_family("f", UnitService(unit, state)))
+            out = run_total(x, singleton_family(FOCUS, UnitService(unit, state)))
             oracle_answers.append(isinstance(out, Converged))
         if all(answer == decided for answer in oracle_answers):
             agree += 1
@@ -563,23 +562,20 @@ def bit_blocks(max_len: int) -> list[str]:
     return blocks
 
 
-def _halting_words(segment_max: int) -> list[str]:
-    blocks = bit_blocks(segment_max)
-    return blocks + [f"{a}:{b}" for a in blocks for b in blocks]
-
-
-def sweep_empty_halting(max_len: int, segment_max: int = 2, fuel: int = 10_000) -> dict:
-    """Compare the halting decision procedure against direct bounded
-    evaluation with the halting service, over all programs up to the
-    given length and all inputs with at most one ':'."""
+def sweep_empty_halting(max_len: int) -> dict:
+    """Compare the halting decision procedure against direct evaluation
+    with the halting service (fuel 10 000), over all programs up to the
+    given length and all inputs of one or two blocks of at most two bits."""
     unit = halting_empty_unit()
+    blocks = bit_blocks(2)
+    words = blocks + [f"{a}:{b}" for a in blocks for b in blocks]
     agree = 0
     disagreements = []
     for y in enumerate_programs({"halting"}, max_len):
-        for word in _halting_words(segment_max):
+        for word in words:
             state = at_left(word)
             decided = decide_halting_empty_ext(y, state)
-            out = run(y, singleton_family("f", UnitService(unit, state)), fuel)
+            out = run(y, singleton_family(FOCUS, UnitService(unit, state)), 10_000)
             observed = isinstance(out, Converged) if not isinstance(out, FuelExhausted) else None
             if observed is not None and observed == decided:
                 agree += 1
@@ -590,13 +586,13 @@ def sweep_empty_halting(max_len: int, segment_max: int = 2, fuel: int = 10_000) 
     return {"suite": "empty-halting", "agree": agree, "disagree": len(disagreements), "counterexamples": disagreements[:10]}
 
 
-def sweep_diagonal(max_len: int, fuel: int = DEFAULT_FUEL) -> dict:
+def sweep_diagonal(max_len: int) -> dict:
     """Validate that every candidate solver up to the given length is
-    refuted under both diagonal constructions."""
+    refuted under both diagonal constructions, with the default fuel."""
     refuted = 0
     not_refuted = []
     for x in enumerate_programs({"dup"}, max_len):
-        verdicts = [validate_solver(x, fuel=fuel, form=form) for form in ("first", "second")]
+        verdicts = [validate_solver(x, form=form) for form in ("first", "second")]
         if any(isinstance(v, NotRefuted) for v in verdicts):
             not_refuted.append(render(x))
         else:

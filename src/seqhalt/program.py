@@ -136,12 +136,17 @@ def make(*instructions: Instruction) -> Program:
     return Program(tuple(instructions))
 
 
-def foreign_action(x: Program, focus: str, methods: Container[str]) -> BasicInstruction | None:
-    """The first basic action of x that is off ``focus`` or whose method is
+# The program class: every basic instruction of a program the halting lab
+# decides, refutes or enumerates uses this one focus.
+FOCUS = "f"
+
+
+def foreign_action(x: Program, methods: Container[str]) -> BasicInstruction | None:
+    """The first basic action of x that is off ``FOCUS`` or whose method is
     not in ``methods``; None when x stays inside that program class."""
     for u in x:
         if isinstance(u, (Plain, PosTest, NegTest)):
-            if u.action.focus != focus or u.action.method not in methods:
+            if u.action.focus != FOCUS or u.action.method not in methods:
                 return u.action
     return None
 
@@ -249,13 +254,12 @@ def decode(bits: str) -> Program | NotAnEncoding:
 def instruction_alphabet(
     methods: Iterable[str],
     *,
-    focus: str = "f",
     fwd_offsets: Sequence[int],
     bwd_offsets: Sequence[int],
 ) -> list[Instruction]:
     letters: list[Instruction] = []
     for m in sorted(methods):
-        action = BasicInstruction(focus, m)
+        action = BasicInstruction(FOCUS, m)
         letters += [Plain(action), PosTest(action), NegTest(action)]
     letters += [TERM_TRUE, TERM_FALSE]
     letters += [FwdJump(l) for l in fwd_offsets]
@@ -267,11 +271,10 @@ def enumerate_programs(
     methods: Iterable[str],
     max_len: int,
     *,
-    focus: str = "f",
     fwd_offsets: Sequence[int] | None = None,
     bwd_offsets: Sequence[int] | None = None,
 ) -> Iterator[Program]:
-    """All programs over the given methods, lengths 1..max_len.
+    """All programs over the given methods on ``FOCUS``, lengths 1..max_len.
 
     Jump counters default to 0..max_len+1; larger counters behave like an
     out-of-range jump of that direction, so the default range covers every
@@ -281,9 +284,7 @@ def enumerate_programs(
         fwd_offsets = range(max_len + 2)
     if bwd_offsets is None:
         bwd_offsets = range(max_len + 2)
-    letters = instruction_alphabet(
-        methods, focus=focus, fwd_offsets=fwd_offsets, bwd_offsets=bwd_offsets
-    )
+    letters = instruction_alphabet(methods, fwd_offsets=fwd_offsets, bwd_offsets=bwd_offsets)
     for k in range(1, max_len + 1):
         for combo in itertools.product(letters, repeat=k):
             yield Program(combo)

@@ -173,25 +173,23 @@ def project(depth: int, t: RegularThread | FiniteThread) -> FiniteThread:
     """The depth-n approximation: cut off after n actions.
 
     Depth 0 is deadlock; terminals are fixed points; a postconditional
-    recurses with depth-1 on both branches (tau nodes are normalised so
-    the else branch equals the then branch).
+    takes the depth-(n-1) projections of its branches (tau nodes are
+    normalised so the else branch equals the then branch).
     """
     if depth < 0:
         raise ValueError("depth must be a natural number")
     if isinstance(t, RegularThread):
-
-        def go(ref: NodeId, n: int) -> FiniteThread:
-            node = t.nodes[ref]
-            if n == 0:
-                return DEADLOCK
-            if isinstance(node, PostCond):
-                then_branch = go(node.then_ref, n - 1)
-                if isinstance(node.action, Tau):
-                    return TreeNode(node.action, then_branch, then_branch)
-                return TreeNode(node.action, then_branch, go(node.else_ref, n - 1))
-            return node
-
-        return go(t.root, depth)
+        # One depth at a time over all nodes: no recursion, whatever the
+        # depth, and every node's subtree is built once and shared.
+        level: dict[NodeId, FiniteThread] = dict.fromkeys(t.nodes, DEADLOCK)
+        for _ in range(depth):
+            level = {
+                ref: TreeNode(node.action, *(level[r] for r in _normalised_refs(node)))
+                if isinstance(node, PostCond)
+                else node
+                for ref, node in t.nodes.items()
+            }
+        return level[t.root]
 
     def go_tree(node: FiniteThread, n: int) -> FiniteThread:
         if n == 0:
@@ -257,29 +255,27 @@ def projections_agree(t1: RegularThread, t2: RegularThread, depth: int) -> bool:
     Computed without materialising the trees (they grow exponentially);
     agreement at the maximal depth implies agreement at all smaller ones.
     """
-    memo: dict[tuple[NodeId, NodeId, int], bool] = {}
-
-    def go(r1: NodeId, r2: NodeId, n: int) -> bool:
-        if n == 0:
-            return True
-        key = (r1, r2, n)
-        if key in memo:
-            return memo[key]
-        n1, n2 = t1.nodes[r1], t2.nodes[r2]
-        if isinstance(n1, PostCond) != isinstance(n2, PostCond):
-            result = False
-        elif not isinstance(n1, PostCond):
-            result = type(n1) is type(n2)
-        elif n1.action != n2.action:
-            result = False
+    # The node pairs reachable in lockstep from the roots, each with its
+    # branch pairs, or None when the two nodes differ on their own.
+    branches: dict[tuple[NodeId, NodeId], list | None] = {}
+    todo = [(t1.root, t2.root)]
+    while todo:
+        pair = todo.pop()
+        if pair in branches:
+            continue
+        n1, n2 = t1.nodes[pair[0]], t2.nodes[pair[1]]
+        if not isinstance(n1, PostCond) or not isinstance(n2, PostCond):
+            branches[pair] = [] if type(n1) is type(n2) else None
+        elif n1.action == n2.action:
+            branches[pair] = list(zip(_normalised_refs(n1), _normalised_refs(n2)))
+            todo += branches[pair]
         else:
-            a_then, a_else = _normalised_refs(n1)
-            b_then, b_else = _normalised_refs(n2)
-            result = go(a_then, b_then, n - 1) and go(a_else, b_else, n - 1)
-        memo[key] = result
-        return result
-
-    return go(t1.root, t2.root, depth)
+            branches[pair] = None
+    # Agreement of every pair at depth 0, then one depth at a time.
+    agree = dict.fromkeys(branches, True)
+    for _ in range(depth):
+        agree = {p: bs is not None and all(agree[b] for b in bs) for p, bs in branches.items()}
+    return agree[(t1.root, t2.root)]
 
 
 def format_thread(t: RegularThread) -> str:

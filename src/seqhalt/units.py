@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from .program import (
+    FOCUS,
     BasicInstruction,
     BwdJump,
     FwdJump,
@@ -282,18 +283,17 @@ def derived_operation(
     x: Program,
     unit: FunctionalUnit,
     fuel: int = 10**6,
-    focus: str = "f",
 ) -> Callable[[Any], Applied | _Sentinel]:
     """Pointwise evaluator for the partial operation a program induces
-    over a unit: run the program against the single service ``focus``
+    over a unit: run the program against the single service ``FOCUS``
     holding the unit in the given state.
 
     Returns Applied(reply, state) on termination, UNDEFINED on proven
     divergence, UNKNOWN when the fuel runs out first.
     """
-    action = foreign_action(x, focus, interface(unit))
-    if action is not None and action.focus != focus:
-        raise WrongFocusError(f"{action} does not use focus {focus!r}")
+    action = foreign_action(x, interface(unit))
+    if action is not None and action.focus != FOCUS:
+        raise WrongFocusError(f"{action} does not use focus {FOCUS!r}")
     if action is not None:
         raise UnknownMethodError(f"{action.method!r} not in interface of {unit.name}")
     thread = extract(x)
@@ -302,9 +302,9 @@ def derived_operation(
         from .machine import Converged, ProvenDivergent, run
         from .services import UnitService, singleton_family
 
-        outcome = run(thread, singleton_family(focus, UnitService(unit, state)), fuel)
+        outcome = run(thread, singleton_family(FOCUS, UnitService(unit, state)), fuel)
         if isinstance(outcome, Converged):
-            service = outcome.family.entries[focus]
+            service = outcome.family.entries[FOCUS]
             return Applied(outcome.reply, service.state)
         if isinstance(outcome, ProvenDivergent):
             return UNDEFINED
@@ -318,7 +318,7 @@ def derived_operation(
 _Item = tuple
 
 
-def _assemble(items: list[_Item], focus: str = "f") -> Program:
+def _assemble(items: list[_Item]) -> Program:
     """Resolve a labelled item list into a program with relative jumps."""
     positions: dict[str, int] = {}
     pc = 1
@@ -334,9 +334,9 @@ def _assemble(items: list[_Item], focus: str = "f") -> Program:
         if kind == "label":
             continue
         if kind == "plain":
-            out.append(Plain(BasicInstruction(focus, item[1])))
+            out.append(Plain(BasicInstruction(FOCUS, item[1])))
         elif kind == "pos":
-            out.append(PosTest(BasicInstruction(focus, item[1])))
+            out.append(PosTest(BasicInstruction(FOCUS, item[1])))
         elif kind == "goto":
             target = positions[item[1]]
             if target > pc:

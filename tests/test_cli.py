@@ -4,6 +4,9 @@ import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
+from seqhalt import cli
 from seqhalt.cli import main
 from seqhalt.program import encode, parse
 
@@ -24,6 +27,15 @@ def test_parse_prints_canonical_form(capsys):
 def test_parse_error_exits_2(capsys):
     code, _, err = invoke(capsys, "parse", "f.dup;;!t")
     assert code == 2 and "error:" in err
+
+
+def test_internal_error_is_not_usage_error(monkeypatch):
+    def broken(x):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "encode", broken)
+    with pytest.raises(KeyError):
+        main(["encode", "!t"])
 
 
 def test_run_converged(capsys):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_program, st_program
@@ -391,8 +391,9 @@ class TestValidateSolver:
             validate_solver(parse("!t"), HaltingInstance(counter_unit(), frozenset({"succ"})))
         with pytest.raises(HypothesisViolationError):
             validate_solver(parse("!t"), HaltingInstance(dup_unit(), frozenset({"other"})))
-        with pytest.raises(HypothesisViolationError):
-            validate_solver(parse("f.mvl;!t"))
+        for candidate in ("f.mvl;!t", "g.dup;!t"):
+            with pytest.raises(HypothesisViolationError):
+                validate_solver(parse(candidate))
 
     def test_replay_checks_hypothesis(self):
         with pytest.raises(HypothesisViolationError):
@@ -433,6 +434,10 @@ class TestCheckInterpreter:
         )
         assert report.samples[0].status == "skipped-divergent"
 
+    def test_foreign_focus_candidate_rejected(self):
+        with pytest.raises(HypothesisViolationError):
+            check_interpreter(parse("g.dup;!t;!f"))
+
     def test_sample_methods_validated(self):
         for sample in ("f.mvl;!t", "g.dup;!t"):
             with pytest.raises(HypothesisViolationError):
@@ -468,6 +473,9 @@ def definite_reply(outcome):
 
 
 class TestDupPrefixLaw:
+    # No deadline: a dup loop runs to the fuel of 2000 steps, which can
+    # take longer than hypothesis's default 200 ms on a slow host.
+    @settings(deadline=None)
     @given(
         st.text(alphabet="01", max_size=4),
         st.text(alphabet="01:", max_size=4),

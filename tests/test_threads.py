@@ -104,6 +104,16 @@ class TestProjection:
         t = extract(x)
         assert project(n, project(m, t)) == project(min(n, m), t)
 
+    def test_deep_projection(self):
+        # Far past the interpreter's recursion limit; walked in a loop,
+        # since == on so deep a tree would recurse.
+        tree = project(3000, extract(parse("f.dup;\\#1")))
+        assert isinstance(tree, TreeNode)
+        depth = 0
+        while isinstance(tree, TreeNode):
+            tree, depth = tree.then_branch, depth + 1
+        assert (depth, tree) == (3000, DEADLOCK)
+
 
 class TestBisimilarity:
     def test_unreachable_tail_ignored(self):
@@ -138,6 +148,12 @@ class TestBisimilarity:
             t2 = unrolled(t1) if trial % 3 == 0 else random_thread(rng)
             depth = 2 * max(t1.states(), t2.states())
             assert bisimilar(t1, t2) == projections_agree(t1, t2, depth)
+
+    def test_deep_projections_agree(self):
+        t = extract(parse("f.dup;\\#1"))
+        assert projections_agree(t, t, 3000)
+        assert projections_agree(t, extract(parse("f.dup;f.dup;\\#2")), 3000)
+        assert not projections_agree(t, extract(parse("f.dup;!t")), 3000)
 
     def test_projections_agree_matches_materialised_trees(self):
         rng = random.Random(11)
