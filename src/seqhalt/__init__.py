@@ -54,7 +54,6 @@ from .halting import (
     diag_interpreter,
     diag_solver,
     diag_solver_alt,
-    dup_instance,
     f2d,
     halting_empty_unit,
     halting_op_step,

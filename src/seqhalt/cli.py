@@ -96,9 +96,10 @@ def _cmd_decode(args) -> int:
 
 def _cmd_decide(args) -> int:
     x = parse(args.program)
+    # Parsed for both units, so a bad tape literal is a usage error.
     state = parse_tape(args.state)
     if args.unit == "dup":
-        answer = decide_halting_dup(x, state)
+        answer = decide_halting_dup(x)
     else:
         answer = decide_halting_empty_ext(x, state)
     _emit(args, {"halts": answer}, str(answer))
@@ -107,7 +108,7 @@ def _cmd_decide(args) -> int:
 
 def _cmd_validate_solver(args) -> int:
     x = parse(args.candidate)
-    verdict = validate_solver(x, fuel=args.fuel, form=args.form)
+    verdict = validate_solver(x, form=args.form)
     record = verdict_record(x, verdict)
     text = " ".join(f"{key}={record[key]}" for key in sorted(record) if record[key] is not None)
     _emit(args, record, text)
@@ -122,7 +123,7 @@ def _cmd_check_interpreter(args) -> int:
         if not sep:
             raise ValueError(f"sample must look like PROGRAM@STATE: {item!r}")
         samples.append((parse(text), parse_tape(literal)))
-    report = check_interpreter(x, samples=samples, fuel=args.fuel)
+    report = check_interpreter(x, samples=samples)
     record = report_record(report)
     if args.json:
         print(json.dumps(record, sort_keys=True))
@@ -208,7 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-solver", help="refute a claimed halting solver")
     p.add_argument("candidate")
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     p.add_argument("--form", choices=("first", "second"), default="first")
     common(p)
     p.set_defaults(func=_cmd_validate_solver)
@@ -216,7 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-interpreter", help="check interpreter agreement and the diagonal")
     p.add_argument("candidate")
     p.add_argument("--sample", action="append", help="PROGRAM@STATE, may repeat")
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     common(p)
     p.set_defaults(func=_cmd_check_interpreter)
 

@@ -17,10 +17,12 @@ that program halts on that input:
 * ``validate_solver``/``check_interpreter``: refuters that evaluate a
   candidate on its own diagonal and report a replayable witness.
 
-The program class is fixed: every basic instruction uses the focus
-``program.FOCUS``, which is ``f``, the focus of the diagonal's leading
-``f.dup``.  A program with a basic instruction on another focus is
-rejected.
+The program class is fixed: every basic instruction is ``f.dup``, on the
+focus ``program.FOCUS``, which is ``f``, the focus of the diagonal's
+leading ``f.dup``.  The refuters reject a program with any other basic
+instruction.  They run every program with ``run_total`` on the dup unit,
+without fuel: the dup reply is always True, so each run ends in a reply
+or a proven divergence.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from .machine import (
-    DEFAULT_FUEL,
     Converged,
     FuelExhausted,
     Outcome,
@@ -68,7 +69,6 @@ from .units import (
     at_left,
     dup_unit,
     format_tape,
-    interface,
     parse_tape,
 )
 
@@ -143,14 +143,14 @@ def _check_single_method(x: Program, method: str, error: type) -> None:
 # --- halting over the duplication unit (decidable) -------------------------
 
 
-def decide_halting_dup(x: Program, state: TapeState | None = None) -> bool:
+def decide_halting_dup(x: Program) -> bool:
     """Decide whether a program over the duplication unit halts.
 
     The dup reply is True on every state, so each occurrence can be
     replaced by the jump to its True-successor (plain and positive tests
     continue with the next instruction, negative tests skip one) and the
     remaining control flow checked finitely.  The answer does not depend
-    on the tape state, which is accepted only for interface symmetry.
+    on the tape state, so none is taken.
     """
     _check_single_method(x, "dup", NotDupProgramError)
     return _control_flow_converges(Program(tuple(_with_fixed_reply(u, True) for u in x)))
@@ -284,30 +284,16 @@ def diag_solver_alt(x: Program) -> Program:
     return f2d(swap(_dup_prefixed(x)))
 
 
-# --- proving runs -------------------------------------------------------------
+# --- the refuters' runs --------------------------------------------------------
 
 
-def _proving_run(x: Program, unit: FunctionalUnit, state: TapeState, fuel: int) -> Outcome:
-    """run_total when every method x uses has a declared constant reply,
-    the fuel-bounded run otherwise."""
-    family = singleton_family(FOCUS, UnitService(unit, state))
-    constant = {name for name, op in unit.operations.items() if op.constant_reply is not None}
-    if foreign_action(x, constant) is None:
-        return run_total(x, family)
-    return run(x, family, fuel)
+def _dup_run(x: Program, state: TapeState) -> Outcome:
+    """Run x on the dup unit at this state.  The dup reply is constant, so
+    run_total ends in a reply or a proven divergence, never out of fuel."""
+    return run_total(x, singleton_family(FOCUS, UnitService(dup_unit(), state)))
 
 
 # --- solver validation -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HaltingInstance:
-    unit: FunctionalUnit
-    program_methods: frozenset[str]
-
-
-def dup_instance() -> HaltingInstance:
-    return HaltingInstance(dup_unit(), frozenset({"dup"}))
 
 
 @dataclass(frozen=True)
@@ -327,81 +313,53 @@ class RefutedByWrongReply:
 
 @dataclass(frozen=True)
 class NotRefuted:
-    budget: int
+    steps: int
 
 
 SolverVerdict = RefutedByDivergence | RefutedByWrongReply | NotRefuted
 
 
-def _check_instance(x: Program, inst: HaltingInstance) -> None:
-    if "dup" not in interface(inst.unit):
-        raise HypothesisViolationError("instance unit has no dup operation")
-    if "dup" not in inst.program_methods:
-        raise HypothesisViolationError("dup not among the instance's program methods")
-    action = foreign_action(x, interface(inst.unit))
-    if action is not None and action.focus != FOCUS:
-        raise HypothesisViolationError(f"{action} uses a foreign focus")
-    if action is not None:
-        raise HypothesisViolationError(f"{action.method!r} not in the unit interface")
-
-
-def validate_solver(
-    x: Program,
-    inst: HaltingInstance | None = None,
-    fuel: int = DEFAULT_FUEL,
-    form: str = "first",
-) -> SolverVerdict:
+def validate_solver(x: Program, form: str = "first") -> SolverVerdict:
     """Try to refute a claimed halting solver by its own diagonal.
 
     Builds y = f.dup ; f2d(swap(x)), runs the candidate on ``|ybar:ybar``
     and y on ``|ybar``: a total solver must converge on the former and
-    its reply must match the observed convergence of the latter.  A
-    NotRefuted verdict only means the budget ran out, never correctness.
+    its reply must match the observed convergence of the latter.  Both
+    runs are total, so a NotRefuted verdict means the candidate answered
+    its own diagonal correctly; ``steps`` counts both runs.
     """
-    if inst is None:
-        inst = dup_instance()
-    _check_instance(x, inst)
-    builder = {"first": diag_solver, "second": diag_solver_alt}[form]
+    _check_single_method(x, "dup", HypothesisViolationError)
+    builder = {"first": diag_solver, "second": diag_solver_alt}.get(form)
+    if builder is None:
+        raise ValueError(f"form must be 'first' or 'second', not {form!r}")
     y = builder(x)
     ybar = encode(y)
     diagonal_state = at_left(f"{ybar}:{ybar}")
     y_state = at_left(ybar)
-    out_x = _proving_run(x, inst.unit, diagonal_state, fuel)
+    out_x = _dup_run(x, diagonal_state)
     if isinstance(out_x, ProvenDivergent):
         return RefutedByDivergence(diagonal_state, out_x.steps)
-    if isinstance(out_x, FuelExhausted):
-        return NotRefuted(fuel)
-    out_y = _proving_run(y, inst.unit, y_state, fuel)
-    if isinstance(out_y, FuelExhausted):
-        return NotRefuted(fuel)
+    out_y = _dup_run(y, y_state)
     actual = isinstance(out_y, Converged)
     if out_x.reply == actual:
-        return NotRefuted(fuel)
+        return NotRefuted(out_x.steps + out_y.steps)
     return RefutedByWrongReply(y, y_state, out_x.reply, actual, out_x.steps + out_y.steps)
 
 
-def replay_verdict(
-    x: Program,
-    verdict: SolverVerdict,
-    inst: HaltingInstance | None = None,
-    fuel: int = DEFAULT_FUEL,
-) -> bool:
+def replay_verdict(x: Program, verdict: SolverVerdict) -> bool:
     """Re-run the evaluator on a verdict's witness and confirm the
     recorded discrepancy reappears."""
-    if inst is None:
-        inst = dup_instance()
-    _check_instance(x, inst)
+    _check_single_method(x, "dup", HypothesisViolationError)
     if isinstance(verdict, NotRefuted):
         return True
     if isinstance(verdict, RefutedByDivergence):
-        out = _proving_run(x, inst.unit, verdict.witness_state, fuel)
-        return isinstance(out, ProvenDivergent)
+        return isinstance(_dup_run(x, verdict.witness_state), ProvenDivergent)
     y = verdict.witness_program
     ybar = encode(y)
-    out_x = _proving_run(x, inst.unit, at_left(f"{ybar}:{ybar}"), fuel)
-    out_y = _proving_run(y, inst.unit, verdict.witness_state, fuel)
-    if isinstance(out_x, (FuelExhausted, ProvenDivergent)) or isinstance(out_y, FuelExhausted):
+    out_x = _dup_run(x, at_left(f"{ybar}:{ybar}"))
+    if isinstance(out_x, ProvenDivergent):
         return False
+    out_y = _dup_run(y, verdict.witness_state)
     return out_x.reply == verdict.claimed and isinstance(out_y, Converged) == verdict.actual
 
 
@@ -432,7 +390,7 @@ def verdict_record(candidate: Program, verdict: SolverVerdict) -> dict:
             steps=verdict.steps,
         )
     else:
-        record.update(verdict="not-refuted", steps=verdict.budget)
+        record.update(verdict="not-refuted", steps=verdict.steps)
     return record
 
 
@@ -455,19 +413,13 @@ class InterpreterReport:
     passed: bool
 
 
-def _check_sample(
-    x: Program, inst: HaltingInstance, y: Program, word: str, fuel: int
-) -> SampleCheck:
+def _check_sample(x: Program, y: Program, word: str) -> SampleCheck:
     y_state = at_left(word)
-    out_y = _proving_run(y, inst.unit, y_state, fuel)
-    if isinstance(out_y, FuelExhausted):
-        return SampleCheck(y, y_state, "unknown", "sample did not resolve")
+    out_y = _dup_run(y, y_state)
     if isinstance(out_y, ProvenDivergent):
         return SampleCheck(y, y_state, "skipped-divergent", "sample program diverges")
     x_state = at_left(f"{encode(y)}:{word}")
-    out_x = _proving_run(x, inst.unit, x_state, fuel)
-    if isinstance(out_x, FuelExhausted):
-        return SampleCheck(y, y_state, "unknown", "candidate did not resolve")
+    out_x = _dup_run(x, x_state)
     if isinstance(out_x, ProvenDivergent):
         return SampleCheck(y, y_state, "fail-convergence", "candidate diverges on encoded input")
     if out_x.reply != out_y.reply:
@@ -480,32 +432,22 @@ def _check_sample(
 
 
 def check_interpreter(
-    x: Program,
-    inst: HaltingInstance | None = None,
-    samples: Sequence[tuple[Program, TapeState]] = (),
-    fuel: int = DEFAULT_FUEL,
+    x: Program, samples: Sequence[tuple[Program, TapeState]] = ()
 ) -> InterpreterReport:
     """Check interpreter-style agreement on samples and on the diagonal.
 
     For each sample (y, v) with y converging: the candidate must converge on
     the tape holding y's encoding and v, leave the same final family and
     deliver the same reply.  The diagonal probe uses y0 = f.dup;swap(x)
-    on its own encoding; a candidate passes only if every check is
-    conclusive and agrees.
+    on its own encoding; a candidate passes only if every check agrees.
     """
-    if inst is None:
-        inst = dup_instance()
-    _check_instance(x, inst)
+    _check_single_method(x, "dup", HypothesisViolationError)
     checks = []
     for y, v in samples:
-        action = foreign_action(y, inst.program_methods)
-        if action is not None and action.focus != FOCUS:
-            raise HypothesisViolationError(f"sample {action} uses a foreign focus")
-        if action is not None:
-            raise HypothesisViolationError(f"sample uses {action.method!r}")
-        checks.append(_check_sample(x, inst, y, v.content, fuel))
+        _check_single_method(y, "dup", HypothesisViolationError)
+        checks.append(_check_sample(x, y, v.content))
     y0 = diag_interpreter(x)
-    diagonal = _check_sample(x, inst, y0, encode(y0), fuel)
+    diagonal = _check_sample(x, y0, encode(y0))
     passed = diagonal.status == "ok" and all(c.status == "ok" for c in checks)
     return InterpreterReport(x, tuple(checks), diagonal, passed)
 
@@ -588,7 +530,7 @@ def sweep_empty_halting(max_len: int) -> dict:
 
 def sweep_diagonal(max_len: int) -> dict:
     """Validate that every candidate solver up to the given length is
-    refuted under both diagonal constructions, with the default fuel."""
+    refuted under both diagonal constructions."""
     refuted = 0
     not_refuted = []
     for x in enumerate_programs({"dup"}, max_len):

@@ -191,17 +191,25 @@ def project(depth: int, t: RegularThread | FiniteThread) -> FiniteThread:
             }
         return level[t.root]
 
-    def go_tree(node: FiniteThread, n: int) -> FiniteThread:
-        if n == 0:
-            return DEADLOCK
-        if isinstance(node, TreeNode):
-            then_branch = go_tree(node.then_branch, n - 1)
-            if isinstance(node.action, Tau):
-                return TreeNode(node.action, then_branch, then_branch)
-            return TreeNode(node.action, then_branch, go_tree(node.else_branch, n - 1))
-        return node
-
-    return go_tree(t, depth)
+    # An explicit stack: no recursion, whatever the depth.  A node goes
+    # back under its uncut branches, so children are cut before parents,
+    # and each (subtree, depth) pair once, so shared subtrees stay shared
+    # (identities are stable: every subtree stays reachable from t).
+    cut: dict[tuple[int, int], FiniteThread] = {}
+    todo = [(t, depth)]
+    while todo:
+        node, n = todo.pop()
+        if n == 0 or not isinstance(node, TreeNode):
+            cut[id(node), n] = node if n else DEADLOCK
+            continue
+        then_branch = node.then_branch
+        branches = (then_branch, then_branch if isinstance(node.action, Tau) else node.else_branch)
+        missing = {id(b): (b, n - 1) for b in branches if (id(b), n - 1) not in cut}
+        if missing:
+            todo += [(node, n), *missing.values()]
+        else:
+            cut[id(node), n] = TreeNode(node.action, *(cut[id(b), n - 1] for b in branches))
+    return cut[id(t), depth]
 
 
 def _normalised_refs(node: PostCond) -> tuple[NodeId, NodeId]:

@@ -95,9 +95,10 @@ class TestProjection:
         assert project(2, t) == TreeNode(FM, STOP_TRUE, STOP_FALSE)
 
     def test_tau_normalised(self):
-        t = RegularThread({0: PostCond(TAU, 1, 2), 1: STOP_TRUE, 2: STOP_FALSE}, 0)
-        tree = project(2, t)
-        assert tree.then_branch == tree.else_branch == STOP_TRUE
+        regular = RegularThread({0: PostCond(TAU, 1, 2), 1: STOP_TRUE, 2: STOP_FALSE}, 0)
+        for t in (regular, TreeNode(TAU, STOP_TRUE, STOP_FALSE)):
+            tree = project(2, t)
+            assert tree.then_branch == tree.else_branch == STOP_TRUE
 
     @given(st.integers(0, 4), st.integers(0, 4), st_program(max_size=4))
     def test_projection_composition(self, n, m, x):
@@ -105,14 +106,26 @@ class TestProjection:
         assert project(n, project(m, t)) == project(min(n, m), t)
 
     def test_deep_projection(self):
-        # Far past the interpreter's recursion limit; walked in a loop,
-        # since == on so deep a tree would recurse.
-        tree = project(3000, extract(parse("f.dup;\\#1")))
-        assert isinstance(tree, TreeNode)
+        # Far past the interpreter's recursion limit, for a regular thread
+        # and for a tree; walked in a loop, since == on so deep a tree
+        # would recurse.
+        t = extract(parse("f.dup;\\#1"))
+        for tree in (project(3000, t), project(3000, project(3000, t))):
+            assert isinstance(tree, TreeNode)
+            depth = 0
+            while isinstance(tree, TreeNode):
+                tree, depth = tree.then_branch, depth + 1
+            assert (depth, tree) == (3000, DEADLOCK)
+
+    def test_tree_projection_keeps_sharing(self):
+        # Both branches of the tau-free loop lead back to its one node, so
+        # the tree has 2**40 paths; cut per path, it would never finish.
+        tree = project(40, project(40, extract(parse("+f.dup;\\#1;\\#2"))))
         depth = 0
         while isinstance(tree, TreeNode):
-            tree, depth = tree.then_branch, depth + 1
-        assert (depth, tree) == (3000, DEADLOCK)
+            assert tree.then_branch is tree.else_branch
+            tree, depth = tree.else_branch, depth + 1
+        assert (depth, tree) == (40, DEADLOCK)
 
 
 class TestBisimilarity:
