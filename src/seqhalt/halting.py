@@ -8,9 +8,11 @@ that program halts on that input:
   terminators; turn False-termination into divergence),
 * ``decide_halting_dup``: a real decision procedure for programs over
   the duplication unit (every dup reply is True, so halting reduces to
-  a finite control-flow check),
+  a finite walk over program positions under that fixed reply),
 * ``halting_op_step``: a computable halting oracle over the otherwise
-  empty unit, with ``decide_halting_empty_ext`` as its decision core,
+  empty unit, with ``decide_halting_empty_ext`` as its decision core
+  (the first reply comes from the tape and every later one is False,
+  so the same walk decides it),
 * ``diag_solver``/``diag_interpreter``: diagonal program constructors
   that defeat any claimed solver or total interpreter drawn from the
   program class it is supposed to cover,
@@ -42,13 +44,9 @@ from .machine import (
 from .program import (
     FOCUS,
     BasicInstruction,
-    BwdJump,
     FwdJump,
-    Instruction,
-    NegTest,
     NOT_AN_ENCODING,
     Plain,
-    PosTest,
     Program,
     TERM_FALSE,
     TERM_TRUE,
@@ -61,7 +59,7 @@ from .program import (
     render,
 )
 from .services import UnitService, singleton_family
-from .threads import _resolve
+from .threads import _resolve, _successor
 from .units import (
     FunctionalUnit,
     MethodOperation,
@@ -110,28 +108,29 @@ def f2d(x: Program) -> Program:
     return Program(tuple(FwdJump(0) if isinstance(u, TermFalse) else u for u in x))
 
 
-# --- pure control-flow convergence ----------------------------------------
+# --- halting under fixed replies --------------------------------------------
 
 
-def _control_flow_converges(x: Program) -> bool:
-    """Convergence of a program containing only jumps and terminators."""
-    end = _resolve(x, 1)
-    if isinstance(end, int):
-        raise AssertionError(f"basic instruction left in control-flow program: {x.at(end)!r}")
-    return end != "D"
+def _halts(x: Program, first: bool, later: bool) -> bool:
+    """Whether x converges when the first basic instruction executed
+    replies ``first`` and every later one replies ``later``.
 
-
-def _with_fixed_reply(u: Instruction, reply: bool, shift: int = 0) -> Instruction:
-    """A basic instruction whose reply is fixed becomes the forward jump to
-    the successor that reply selects, ``shift`` positions further on;
-    jumps and terminators stay as they are."""
-    if isinstance(u, Plain):
-        return FwdJump(shift + 1)
-    if isinstance(u, PosTest):
-        return FwdJump(shift + (1 if reply else 2))
-    if isinstance(u, NegTest):
-        return FwdJump(shift + (2 if reply else 1))
-    return u
+    Execution is a walk over positions: from position 1 follow the
+    successor each reply selects.  Each step depends only on its
+    (position, reply) pair and every reply after the first is
+    ``later``, so a repeated pair means divergence; the walk converges
+    exactly when it ends on !t or !f rather than on a deadlock.
+    """
+    i = _resolve(x, 1)
+    reply = first
+    seen: set[tuple[int, bool]] = set()
+    while isinstance(i, int):
+        if (i, reply) in seen:
+            return False
+        seen.add((i, reply))
+        i = _successor(x, i, reply)
+        reply = later
+    return i != "D"
 
 
 def _check_single_method(x: Program, method: str, error: type) -> None:
@@ -146,14 +145,14 @@ def _check_single_method(x: Program, method: str, error: type) -> None:
 def decide_halting_dup(x: Program) -> bool:
     """Decide whether a program over the duplication unit halts.
 
-    The dup reply is True on every state, so each occurrence can be
-    replaced by the jump to its True-successor (plain and positive tests
-    continue with the next instruction, negative tests skip one) and the
-    remaining control flow checked finitely.  The answer does not depend
-    on the tape state, so none is taken.
+    The dup reply is True on every state, so halting is the finite walk
+    over positions that follows every basic instruction's True-successor
+    (plain and positive tests continue with the next instruction,
+    negative tests skip one).  The answer does not depend on the tape
+    state, so none is taken.
     """
     _check_single_method(x, "dup", NotDupProgramError)
-    return _control_flow_converges(Program(tuple(_with_fixed_reply(u, True) for u in x)))
+    return _halts(x, True, True)
 
 
 # --- halting over the empty unit extended with a halting oracle ------------
@@ -168,41 +167,6 @@ def leads_to_first_application(x: Program, i: int) -> bool:
     if _resolve(x, i) != i:
         raise ValueError(f"position {i} holds no basic instruction")
     return _resolve(x, 1) == i
-
-
-def _replace_halting(x: Program, first_reply: bool) -> Program:
-    """Rewrite halting occurrences into reply-successor jumps over two
-    copies of the program.
-
-    The first application sees the original state and replies
-    ``first_reply``; it also resets the tape, so every later application
-    replies False, including re-executions of the same occurrence (a
-    loop back to the first occurrence behaves differently the second
-    time).  The first copy therefore handles execution before any
-    application and jumps into the second copy at the matching position
-    when one happens; the second copy resolves every occurrence as
-    False.  Jumps that leave the program in the original keep deadlocking
-    in the copies.
-    """
-    k = len(x)
-    before = []
-    for position, u in enumerate(x, start=1):
-        if isinstance(u, FwdJump) and position + u.offset > k:
-            before.append(FwdJump(0))
-        else:
-            before.append(_with_fixed_reply(u, first_reply, k))
-    after = []
-    for position, u in enumerate(x, start=1):
-        if isinstance(u, BwdJump) and u.offset >= position:
-            after.append(FwdJump(0))
-        else:
-            after.append(_with_fixed_reply(u, False))
-    return Program(tuple(before + after))
-
-
-@lru_cache(maxsize=None)
-def _decide_given_first_reply(y: Program, first_reply: bool) -> bool:
-    return _control_flow_converges(_replace_halting(y, first_reply))
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +188,7 @@ def _halting_reply(content: str) -> bool:
         programs.append(y)
     reply = False
     for y in reversed(programs):
-        reply = _decide_given_first_reply(y, reply)
+        reply = _halts(y, reply, False)
     return reply
 
 
@@ -234,11 +198,11 @@ def decide_halting_empty_ext(x: Program, state: TapeState) -> bool:
 
     Only the first halting application sees the original state; every
     application resets the tape to empty, where the reply is False, so
-    every later application resolves as False and the rest is a finite
-    control-flow check over the two-copy rewriting.
+    halting is the finite walk over positions with the first reply
+    taken from the state and every later reply False.
     """
     _check_single_method(x, "halting", NotHaltingProgramError)
-    return _decide_given_first_reply(x, _halting_reply(state.content))
+    return _halts(x, _halting_reply(state.content), False)
 
 
 def halting_op_step(state: TapeState) -> tuple[bool, TapeState]:
@@ -476,15 +440,11 @@ def sweep_dup_decider(max_len: int) -> dict:
     """Compare the dup decision procedure against total evaluation on all
     dup programs up to the given length and three tape states."""
     states = (at_left(""), at_left("1"), at_left("10:1"))
-    unit = dup_unit()
     agree = 0
     disagreements = []
     for x in enumerate_programs({"dup"}, max_len):
         decided = decide_halting_dup(x)
-        oracle_answers = []
-        for state in states:
-            out = run_total(x, singleton_family(FOCUS, UnitService(unit, state)))
-            oracle_answers.append(isinstance(out, Converged))
+        oracle_answers = [isinstance(_dup_run(x, state), Converged) for state in states]
         if all(answer == decided for answer in oracle_answers):
             agree += 1
         else:

@@ -25,7 +25,6 @@ from .program import (
     BwdJump,
     FwdJump,
     NegTest,
-    Plain,
     PosTest,
     Program,
     TermFalse,
@@ -131,6 +130,15 @@ def _resolve(x: Program, i: int) -> NodeId:
             return i
 
 
+def _successor(x: Program, i: int, reply: bool) -> NodeId:
+    """Where execution goes after the basic instruction at position i gets
+    this reply: the next position, or the one after it when a test's
+    reply says skip (False for +f.m, True for -f.m), with jumps chased."""
+    u = x.at(i)
+    skip = (isinstance(u, PosTest) and not reply) or (isinstance(u, NegTest) and reply)
+    return _resolve(x, i + 1 + skip)
+
+
 def extract(x: Program) -> RegularThread:
     """Behaviour graph of a program: one node per reachable basic
     instruction plus the terminals it reaches."""
@@ -144,16 +152,7 @@ def extract(x: Program) -> RegularThread:
         if isinstance(ref, str):
             nodes[ref] = _TERMINAL_IDS[ref]
             continue
-        u = x.at(ref)
-        if isinstance(u, Plain):
-            succ = _resolve(x, ref + 1)
-            node = PostCond(u.action, succ, succ)
-        elif isinstance(u, PosTest):
-            node = PostCond(u.action, _resolve(x, ref + 1), _resolve(x, ref + 2))
-        elif isinstance(u, NegTest):
-            node = PostCond(u.action, _resolve(x, ref + 2), _resolve(x, ref + 1))
-        else:  # unreachable: _resolve never lands on jumps or terminators
-            raise AssertionError(f"resolver stopped on {u!r}")
+        node = PostCond(x.at(ref).action, _successor(x, ref, True), _successor(x, ref, False))
         nodes[ref] = node
         todo += [node.then_ref, node.else_ref]
     return RegularThread(nodes, root)

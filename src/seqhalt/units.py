@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from .program import (
+    _COUNT_RE,
     FOCUS,
     BasicInstruction,
     BwdJump,
@@ -130,10 +131,9 @@ def restrict(unit: FunctionalUnit, names: Iterable[str]) -> FunctionalUnit:
 
 
 def _parse_counter(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError("counter state must be a natural number")
-    return value
+    if not _COUNT_RE.match(text):
+        raise ValueError(f"counter state must be a natural number: {text!r}")
+    return int(text)
 
 
 def _counter_ops() -> dict[str, MethodOperation]:

@@ -1,10 +1,11 @@
 import hashlib
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqhalt import cli
 from seqhalt.cli import main
@@ -176,3 +177,83 @@ def test_golden_cli_lines():
         if (code, digest) != (line["exit"], line["stdout_sha256"]):
             mismatches.append(line["argv"])
     assert not mismatches
+
+
+# Program letters (the dup class first, then other units') and junk that
+# the parser must reject as a usage error.
+_DUP_LETTERS = ["f.dup", "+f.dup", "-f.dup", "#0", "#1", "#3", "\\#1", "\\#2", "!t", "!f"]
+_LETTERS = _DUP_LETTERS + ["f.halting", "-f.halting", "f.succ", "+f.iszero", "f.mvr", "g.dup"]
+_JUNK = ["", " ", "#", "#-1", "#01", "f.", ".dup", "F.dup", "+", "!x", "\\", "é", "@", "|", "0", "1:"]
+
+
+def st_program_text(letters=_LETTERS):
+    def joined(alphabet):
+        return st.lists(st.sampled_from(alphabet), min_size=1, max_size=6).map(";".join)
+
+    return st.one_of(joined(letters), joined(letters + _JUNK), st.text(alphabet="f.dup+-#\\!t;01 :|@", max_size=12))
+
+
+st_tape = st.one_of(
+    st.tuples(st.text(alphabet="01:", max_size=4), st.text(alphabet="01:", max_size=6)).map("|".join),
+    st.text(alphabet="01:| x", max_size=8),
+)
+st_family = st.one_of(
+    st.sampled_from(["", "f=counter:0", "f=counter:3", "f=dup:|10", "f=tapebasic:1|0", "f=empty",
+                     "f=halting-empty:|", "g=counter:1,f=dup:|", "f=counter:1_0", "f=nosuch:0", "f"]),
+    st.text(alphabet="fg=counterdup:|01,", max_size=14),
+)
+# Each command line as (options, positionals); the positionals follow
+# "--", so a program that starts with "-" is not taken for an option.
+st_argv = st.one_of(
+    st.tuples(st.just(["parse"]), st.tuples(st_program_text())),
+    st.tuples(
+        st.tuples(st.integers(0, 300), st.sampled_from([[], ["--trace"]])).map(lambda a: ["run", f"--fuel={a[0]}", *a[1]]),
+        st.tuples(st_program_text(), st_family),
+    ),
+    st.tuples(
+        st.lists(st.sampled_from(["--swap", "--f2d"]), max_size=3).map(lambda ops: ["transform", *ops]),
+        st.tuples(st_program_text()),
+    ),
+    st.tuples(st.just(["encode"]), st.tuples(st_program_text())),
+    st.tuples(
+        st.just(["decode"]),
+        st.tuples(
+            st.one_of(
+                st.text(alphabet="01x", max_size=40),
+                st.tuples(st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=4), st.text(alphabet="01", max_size=3)).map(
+                    lambda a: encode(parse(";".join(a[0]))) + a[1]
+                ),
+            )
+        ),
+    ),
+    st.tuples(
+        st.sampled_from(["dup", "halting-empty", "nosuch"]).map(lambda unit: ["decide", f"--unit={unit}"]),
+        st.tuples(st_program_text(_DUP_LETTERS + ["f.halting", "-f.halting", "+f.halting"]), st_tape),
+    ),
+    st.tuples(
+        st.sampled_from(["first", "second", "third"]).map(lambda form: ["validate-solver", f"--form={form}"]),
+        st.tuples(st_program_text(_DUP_LETTERS)),
+    ),
+    st.tuples(
+        st.lists(st.tuples(st_program_text(_DUP_LETTERS), st_tape), max_size=2).map(
+            lambda samples: ["check-interpreter", *(f"--sample={p}@{t}" for p, t in samples)]
+        ),
+        st.tuples(st_program_text(_DUP_LETTERS)),
+    ),
+)
+st_cli_line = st.tuples(st_argv, st.booleans()).map(
+    lambda a: [*a[0][0], *(["--json"] if a[1] else []), "--", *a[0][1]]
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st_cli_line)
+def test_cli_fuzz_exits_cleanly(argv):
+    """Whatever the arguments, main returns or exits with 0, 1 or 2; no
+    other exception escapes."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # argparse rejects the command line
+            code = stop.code
+    assert code in (0, 1, 2)

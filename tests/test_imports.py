@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private top-level name of the package is used somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "seqhalt"
 # The package's __init__ imports names only to re-export them.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -40,3 +42,44 @@ def test_no_unused_imports(path):
 def test_unused_import_is_found():
     tree = ast.parse("import os\nfrom typing import Sequence, Union\nx: 'Union[int]' = 1\n")
     assert imported_names(tree) - used_names(tree) == {"os", "Sequence"}
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """Top-level functions, classes and assignment targets named ``_x``
+    (dunders excluded)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def loaded_names(tree: ast.Module) -> set[str]:
+    """Names read as a variable, as an attribute or by an import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_no_orphaned_private_names():
+    trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    loaded = set().union(*(loaded_names(t) for t in trees.values()))
+    orphans = {name: sorted(private_definitions(t) - loaded) for name, t in trees.items()}
+    assert {name: found for name, found in orphans.items() if found} == {}
+
+
+def test_orphaned_private_name_is_found():
+    tree = ast.parse(
+        "import m\nfrom m import _imported\n_used = 1\n_unused: int = 2\n__dunder__ = 3\n"
+        "def _called(): return _used + m._attr\ndef _orphan(): pass\nclass _Gone: pass\n_called()\n"
+    )
+    assert private_definitions(tree) - loaded_names(tree) == {"_unused", "_orphan", "_Gone"}

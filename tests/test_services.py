@@ -117,7 +117,13 @@ def test_family_literal_round_trip():
     assert parse_family("f=tapebasic:|").entries["f"].state == TapeState("", "")
 
 
-@pytest.mark.parametrize("text", ["f", "f=", "f=counter", "f=nosuch:0", "1f=counter:0", "f=counter:0,f=counter:1"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "f", "f=", "f=counter", "f=nosuch:0", "1f=counter:0", "f=counter:0,f=counter:1",
+        "f=counter:1_0", "f=counter:+5", "f=counter: 7", "f=counter:\u0663", "f=counter:-1", "f=counter:07",
+    ],
+)
 def test_family_literal_rejects(text):
     with pytest.raises(ValueError):
         parse_family(text)
