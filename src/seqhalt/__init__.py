@@ -1,14 +1,16 @@
 """Instruction sequences over service families, with a halting lab.
 
-The pieces: ``program`` (syntax, text and bit encodings), ``threads``
-(behaviour extraction, projection, bisimilarity), ``units`` and
-``services`` (functional units, named service families), ``machine``
-(apply/reply/convergence with proven-divergence detection) and
-``halting`` (decision procedures, the computable halting oracle, and
-diagonal refuters for claimed solvers and interpreters).
+The pieces, each importing only the ones before it: ``program``
+(syntax, text and bit encodings), ``threads`` (behaviour extraction,
+projection, bisimilarity), ``units`` (functional units, the computable
+halting oracle among the stock ones), ``services`` (named service
+families), ``machine`` (apply/reply/convergence with proven-divergence
+detection, and the derived operation of a program over a unit),
+``halting`` (decision procedures and diagonal refuters for claimed
+solvers and interpreters) and ``cli``.
 """
 
-from .machine import Converged, FuelExhausted, ProvenDivergent, apply, converges, reply, run, run_total
+from .machine import Converged, FuelExhausted, ProvenDivergent, apply, converges, derived_operation, reply, run, run_total
 from .program import (
     NOT_AN_ENCODING,
     Program,
@@ -36,14 +38,14 @@ from .units import (
     TapeState,
     at_left,
     counter_unit,
-    derived_operation,
     dup_step,
     dup_unit,
     dup_witness_program,
     interface,
     parse_tape,
     format_tape,
-    restrict,
+    halting_empty_unit,
+    halting_op_step,
     tape_basic_unit,
     unit_by_name,
 )
@@ -55,8 +57,6 @@ from .halting import (
     diag_solver,
     diag_solver_alt,
     f2d,
-    halting_empty_unit,
-    halting_op_step,
     leads_to_first_application,
     swap,
     validate_solver,

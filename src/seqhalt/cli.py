@@ -137,8 +137,8 @@ def _cmd_check_interpreter(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.max_len > 5:
-        raise ValueError("sweep enumeration is guarded at --max-len 5")
+    if not 1 <= args.max_len <= 5:
+        raise ValueError("sweep enumeration is guarded at 1 <= --max-len <= 5")
     if args.suite == "dup-decider":
         result = sweep_dup_decider(args.max_len)
         bad = result["disagree"]

@@ -9,8 +9,8 @@ that program halts on that input:
 * ``decide_halting_dup``: a real decision procedure for programs over
   the duplication unit (every dup reply is True, so halting reduces to
   a finite walk over program positions under that fixed reply),
-* ``halting_op_step``: a computable halting oracle over the otherwise
-  empty unit, with ``decide_halting_empty_ext`` as its decision core
+* ``decide_halting_empty_ext``: the decision procedure for programs
+  over the halting oracle, the stock unit ``units.halting_empty_unit``
   (the first reply comes from the tape and every later one is False,
   so the same walk decides it),
 * ``diag_solver``/``diag_interpreter``: diagonal program constructors
@@ -30,7 +30,6 @@ or a proven divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .machine import (
@@ -45,29 +44,26 @@ from .program import (
     FOCUS,
     BasicInstruction,
     FwdJump,
-    NOT_AN_ENCODING,
     Plain,
     Program,
     TERM_FALSE,
     TERM_TRUE,
     TermFalse,
     TermTrue,
-    decode,
     encode,
     enumerate_programs,
     foreign_action,
     render,
 )
 from .services import UnitService, singleton_family
-from .threads import _resolve, _successor
+from .threads import _halts, _resolve
 from .units import (
-    FunctionalUnit,
-    MethodOperation,
     TapeState,
+    _halting_reply,
     at_left,
     dup_unit,
     format_tape,
-    parse_tape,
+    halting_empty_unit,
 )
 
 
@@ -108,31 +104,6 @@ def f2d(x: Program) -> Program:
     return Program(tuple(FwdJump(0) if isinstance(u, TermFalse) else u for u in x))
 
 
-# --- halting under fixed replies --------------------------------------------
-
-
-def _halts(x: Program, first: bool, later: bool) -> bool:
-    """Whether x converges when the first basic instruction executed
-    replies ``first`` and every later one replies ``later``.
-
-    Execution is a walk over positions: from position 1 follow the
-    successor each reply selects.  Each step depends only on its
-    (position, reply) pair and every reply after the first is
-    ``later``, so a repeated pair means divergence; the walk converges
-    exactly when it ends on !t or !f rather than on a deadlock.
-    """
-    i = _resolve(x, 1)
-    reply = first
-    seen: set[tuple[int, bool]] = set()
-    while isinstance(i, int):
-        if (i, reply) in seen:
-            return False
-        seen.add((i, reply))
-        i = _successor(x, i, reply)
-        reply = later
-    return i != "D"
-
-
 def _check_single_method(x: Program, method: str, error: type) -> None:
     action = foreign_action(x, (method,))
     if action is not None:
@@ -169,29 +140,6 @@ def leads_to_first_application(x: Program, i: int) -> bool:
     return _resolve(x, 1) == i
 
 
-@lru_cache(maxsize=None)
-def _halting_reply(content: str) -> bool:
-    """Reply of the halting operation on a tape with this content: True
-    iff the part before the first ':' encodes a halting-unit program
-    that halts on the rest.
-
-    The rest is answered the same way, so the reply folds from the right
-    over the leading segments that encode halting-unit programs, starting
-    from False (the reply on a content without such a segment).  A loop,
-    not recursion, so any number of segments is answered.
-    """
-    programs = []
-    for segment in content.split(":")[:-1]:
-        y = decode(segment)
-        if y is NOT_AN_ENCODING or foreign_action(y, ("halting",)) is not None:
-            break
-        programs.append(y)
-    reply = False
-    for y in reversed(programs):
-        reply = _halts(y, reply, False)
-    return reply
-
-
 def decide_halting_empty_ext(x: Program, state: TapeState) -> bool:
     """Decide whether a program over the halting-extended empty unit
     halts on the given state, by induction on the number of ':' in it.
@@ -203,26 +151,6 @@ def decide_halting_empty_ext(x: Program, state: TapeState) -> bool:
     """
     _check_single_method(x, "halting", NotHaltingProgramError)
     return _halts(x, _halting_reply(state.content), False)
-
-
-def halting_op_step(state: TapeState) -> tuple[bool, TapeState]:
-    """The halting oracle as a method operation: reply per
-    ``decide_halting_empty_ext`` on the decoded tape content, and reset
-    the tape to empty."""
-    return _halting_reply(state.content), TapeState("", "")
-
-
-_HALTING_EMPTY = FunctionalUnit(
-    "halting-empty",
-    "tape",
-    {"halting": MethodOperation("halting", halting_op_step)},
-    format_tape,
-    parse_tape,
-)
-
-
-def halting_empty_unit() -> FunctionalUnit:
-    return _HALTING_EMPTY
 
 
 # --- diagonal constructions -------------------------------------------------
@@ -435,23 +363,26 @@ def report_record(report: InterpreterReport) -> dict:
 
 # --- exhaustive sweeps --------------------------------------------------------
 
+# A sweep counts every disagreement but keeps only the first few.
+_SHOWN = 10
+
 
 def sweep_dup_decider(max_len: int) -> dict:
     """Compare the dup decision procedure against total evaluation on all
     dup programs up to the given length and three tape states."""
     states = (at_left(""), at_left("1"), at_left("10:1"))
-    agree = 0
-    disagreements = []
+    agree = disagree = 0
+    counterexamples = []
     for x in enumerate_programs({"dup"}, max_len):
         decided = decide_halting_dup(x)
         oracle_answers = [isinstance(_dup_run(x, state), Converged) for state in states]
         if all(answer == decided for answer in oracle_answers):
             agree += 1
-        else:
-            disagreements.append(
-                {"program": render(x), "decider": decided, "oracle": oracle_answers}
-            )
-    return {"suite": "dup-decider", "agree": agree, "disagree": len(disagreements), "counterexamples": disagreements[:10]}
+            continue
+        disagree += 1
+        if len(counterexamples) < _SHOWN:
+            counterexamples.append({"program": render(x), "decider": decided, "oracle": oracle_answers})
+    return {"suite": "dup-decider", "agree": agree, "disagree": disagree, "counterexamples": counterexamples}
 
 
 def bit_blocks(max_len: int) -> list[str]:
@@ -471,8 +402,8 @@ def sweep_empty_halting(max_len: int) -> dict:
     unit = halting_empty_unit()
     blocks = bit_blocks(2)
     words = blocks + [f"{a}:{b}" for a in blocks for b in blocks]
-    agree = 0
-    disagreements = []
+    agree = disagree = 0
+    counterexamples = []
     for y in enumerate_programs({"halting"}, max_len):
         for word in words:
             state = at_left(word)
@@ -481,22 +412,26 @@ def sweep_empty_halting(max_len: int) -> dict:
             observed = isinstance(out, Converged) if not isinstance(out, FuelExhausted) else None
             if observed is not None and observed == decided:
                 agree += 1
-            else:
-                disagreements.append(
+                continue
+            disagree += 1
+            if len(counterexamples) < _SHOWN:
+                counterexamples.append(
                     {"program": render(y), "state": format_tape(state), "decider": decided, "evaluation": observed}
                 )
-    return {"suite": "empty-halting", "agree": agree, "disagree": len(disagreements), "counterexamples": disagreements[:10]}
+    return {"suite": "empty-halting", "agree": agree, "disagree": disagree, "counterexamples": counterexamples}
 
 
 def sweep_diagonal(max_len: int) -> dict:
     """Validate that every candidate solver up to the given length is
     refuted under both diagonal constructions."""
-    refuted = 0
-    not_refuted = []
+    refuted = not_refuted = 0
+    counterexamples = []
     for x in enumerate_programs({"dup"}, max_len):
         verdicts = [validate_solver(x, form=form) for form in ("first", "second")]
-        if any(isinstance(v, NotRefuted) for v in verdicts):
-            not_refuted.append(render(x))
-        else:
+        if not any(isinstance(v, NotRefuted) for v in verdicts):
             refuted += 1
-    return {"suite": "diagonal", "refuted": refuted, "not-refuted": len(not_refuted), "counterexamples": not_refuted[:10]}
+            continue
+        not_refuted += 1
+        if len(counterexamples) < _SHOWN:
+            counterexamples.append(render(x))
+    return {"suite": "diagonal", "refuted": refuted, "not-refuted": not_refuted, "counterexamples": counterexamples}

@@ -11,15 +11,18 @@ evaluator never claims a divergence it cannot prove.  ``run_total`` keys
 on the node only, which is sound when every reply involved has a
 declared state-independent value: each node then has a fixed successor,
 so revisiting one closes an infinite loop.
+
+``derived_operation`` is the partial operation a program induces over a
+unit: one ``run`` against the singleton family holding the unit.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Hashable, Union
+from typing import Any, Callable, Hashable, Union
 
-from .program import BasicInstruction, Program
+from .program import FOCUS, BasicInstruction, Program, _Sentinel, foreign_action
 from .services import (
     Reply,
     Service,
@@ -29,8 +32,10 @@ from .services import (
     family_key,
     format_family,
     service_step,
+    singleton_family,
 )
 from .threads import PostCond, RegularThread, StopFalse, StopTrue, Tau, extract
+from .units import FunctionalUnit, interface
 
 DEFAULT_FUEL = 10**6
 
@@ -192,3 +197,55 @@ def converges(
     if isinstance(outcome, ProvenDivergent):
         return False
     return None
+
+
+# --- derived method operations ------------------------------------------
+
+
+@dataclass(frozen=True)
+class Applied:
+    reply: bool
+    state: Any
+
+
+UNDEFINED = _Sentinel("UNDEFINED")
+UNKNOWN = _Sentinel("UNKNOWN")
+
+
+class WrongFocusError(ValueError):
+    pass
+
+
+class UnknownMethodError(ValueError):
+    pass
+
+
+def derived_operation(
+    x: Program,
+    unit: FunctionalUnit,
+    fuel: int = DEFAULT_FUEL,
+) -> Callable[[Any], Applied | _Sentinel]:
+    """Pointwise evaluator for the partial operation a program induces
+    over a unit: run the program against the single service ``FOCUS``
+    holding the unit in the given state.
+
+    Returns Applied(reply, state) on termination, UNDEFINED on proven
+    divergence, UNKNOWN when the fuel runs out first.
+    """
+    action = foreign_action(x, interface(unit))
+    if action is not None and action.focus != FOCUS:
+        raise WrongFocusError(f"{action} does not use focus {FOCUS!r}")
+    if action is not None:
+        raise UnknownMethodError(f"{action.method!r} not in interface of {unit.name}")
+    thread = extract(x)
+
+    def evaluate(state: Any) -> Applied | _Sentinel:
+        outcome = run(thread, singleton_family(FOCUS, UnitService(unit, state)), fuel)
+        if isinstance(outcome, Converged):
+            service = outcome.family.entries[FOCUS]
+            return Applied(outcome.reply, service.state)
+        if isinstance(outcome, ProvenDivergent):
+            return UNDEFINED
+        return UNKNOWN
+
+    return evaluate

@@ -132,10 +132,6 @@ class Program:
         return render(self)
 
 
-def make(*instructions: Instruction) -> Program:
-    return Program(tuple(instructions))
-
-
 # The program class: every basic instruction of a program the halting lab
 # decides, refutes or enumerates uses this one focus.
 FOCUS = "f"
@@ -216,21 +212,18 @@ def parse(text: str) -> Program:
     return Program(tuple(instructions))
 
 
-class NotAnEncoding:
-    """Result of decoding a bit string that encodes no program."""
+class _Sentinel:
+    """A marker value that stands for no result; compare it with ``is``."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, label: str):
+        self._label = label
 
     def __repr__(self) -> str:
-        return "NOT_AN_ENCODING"
+        return self._label
 
 
-NOT_AN_ENCODING = NotAnEncoding()
+# Result of decoding a bit string that encodes no program.
+NOT_AN_ENCODING = _Sentinel("NOT_AN_ENCODING")
 
 
 def encode(x: Program) -> str:
@@ -238,7 +231,7 @@ def encode(x: Program) -> str:
     return "".join(format(byte, "08b") for byte in render(x).encode("ascii"))
 
 
-def decode(bits: str) -> Program | NotAnEncoding:
+def decode(bits: str) -> Program | _Sentinel:
     """Inverse of :func:`encode` on its image; NOT_AN_ENCODING elsewhere."""
     if len(bits) % 8 != 0 or any(c not in "01" for c in bits):
         return NOT_AN_ENCODING

@@ -94,15 +94,12 @@ def service_step(service: Service, method: str) -> tuple[Reply, Service]:
     return Reply.from_bool(reply), UnitService(service.unit, state)
 
 
-def format_service(service: Service) -> str:
-    if isinstance(service, EmptyService):
-        return "empty"
-    return f"{service.unit.name}:{service.unit.format_state(service.state)}"
-
-
 def format_family(family: ServiceFamily | Mapping[str, Service]) -> str:
     entries = family.entries if isinstance(family, ServiceFamily) else family
-    return ",".join(f"{f}={format_service(entries[f])}" for f in sorted(entries))
+    return ",".join(
+        f"{f}=empty" if isinstance(s, EmptyService) else f"{f}={s.unit.name}:{s.unit.format_state(s.state)}"
+        for f, s in sorted(entries.items())
+    )
 
 
 def parse_family(text: str) -> ServiceFamily:
@@ -129,12 +126,9 @@ def parse_family(text: str) -> ServiceFamily:
     return ServiceFamily(entries)
 
 
-def service_key(service: Service):
-    if isinstance(service, EmptyService):
-        return ("empty",)
-    return (service.unit.name, service.state)
-
-
 def family_key(entries: Mapping[str, Service]):
     """Hashable canonical form of a family's state, for cycle detection."""
-    return tuple((f, service_key(entries[f])) for f in sorted(entries))
+    return tuple(
+        (f, ("empty",) if isinstance(s, EmptyService) else (s.unit.name, s.state))
+        for f, s in sorted(entries.items())
+    )

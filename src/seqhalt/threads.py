@@ -94,9 +94,6 @@ class RegularThread:
                     if target not in self.nodes:
                         raise ValueError(f"node {ref!r} references missing {target!r}")
 
-    def states(self) -> int:
-        return len(self.nodes)
-
 
 def constant_thread(node: ThreadNode) -> RegularThread:
     """The one-node thread D, S+ or S-."""
@@ -137,6 +134,28 @@ def _successor(x: Program, i: int, reply: bool) -> NodeId:
     u = x.at(i)
     skip = (isinstance(u, PosTest) and not reply) or (isinstance(u, NegTest) and reply)
     return _resolve(x, i + 1 + skip)
+
+
+def _halts(x: Program, first: bool, later: bool) -> bool:
+    """Whether x converges when the first basic instruction executed
+    replies ``first`` and every later one replies ``later``.
+
+    Execution is a walk over positions: from position 1 follow the
+    successor each reply selects.  Each step depends only on its
+    (position, reply) pair and every reply after the first is
+    ``later``, so a repeated pair means divergence; the walk converges
+    exactly when it ends on !t or !f rather than on a deadlock.
+    """
+    i = _resolve(x, 1)
+    reply = first
+    seen: set[tuple[int, bool]] = set()
+    while isinstance(i, int):
+        if (i, reply) in seen:
+            return False
+        seen.add((i, reply))
+        i = _successor(x, i, reply)
+        reply = later
+    return i != "D"
 
 
 def extract(x: Program) -> RegularThread:
@@ -283,15 +302,3 @@ def projections_agree(t1: RegularThread, t2: RegularThread, depth: int) -> bool:
     for _ in range(depth):
         agree = {p: bs is not None and all(agree[b] for b in bs) for p, bs in branches.items()}
     return agree[(t1.root, t2.root)]
-
-
-def format_thread(t: RegularThread) -> str:
-    """Debug dump, one line per node; not a stability-guaranteed format."""
-    lines = [f"root: {t.root}"]
-    for ref in sorted(t.nodes, key=str):
-        node = t.nodes[ref]
-        if isinstance(node, PostCond):
-            lines.append(f"{ref}: {node.action} ? {node.then_ref} : {node.else_ref}")
-        else:
-            lines.append(f"{ref}: {node}")
-    return "\n".join(lines)

@@ -8,20 +8,24 @@ space of strings over {0,1,:} split around a head position, written
 ``1:0`` with nothing to its left).
 
 The stock units are the four-operation counter, the single-operation
-duplication unit, and the tape-basic unit whose operations are the
+duplication unit, the tape-basic unit whose operations are the
 elementary steps of a tape machine (moves, symbol tests, writes,
-delete).  ``dup_witness_program`` is a program over the tape-basic unit
-whose derived operation is exactly the duplication operation.
+delete), and the computable halting oracle over the otherwise empty
+unit.  ``dup_witness_program`` is a program over the tape-basic unit
+whose derived operation (``machine.derived_operation``) is exactly the
+duplication operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from functools import lru_cache
+from typing import Any, Callable, Mapping
 
 from .program import (
     _COUNT_RE,
     FOCUS,
+    NOT_AN_ENCODING,
     BasicInstruction,
     BwdJump,
     FwdJump,
@@ -30,9 +34,10 @@ from .program import (
     Program,
     TERM_FALSE,
     TERM_TRUE,
+    decode,
     foreign_action,
 )
-from .threads import extract
+from .threads import _halts
 
 TAPE_ALPHABET = frozenset("01:")
 
@@ -74,30 +79,23 @@ def parse_tape(text: str) -> TapeState:
     return TapeState(left, right)
 
 
-def colon_count(state: TapeState) -> int:
-    return state.content.count(":")
-
-
 @dataclass(frozen=True)
 class MethodOperation:
     """A named total step function with declared metadata.
 
-    ``increases_colons`` declares whether the operation can ever add a
-    ':' to a tape state.  ``constant_reply`` declares a reply that is
-    independent of the state (None when the reply varies); the total
-    runner in the halting lab relies on it to prove divergence.
+    ``constant_reply`` declares a reply that is independent of the state
+    (None when the reply varies); ``machine.run_total`` relies on it to
+    prove divergence.
     """
 
     name: str
     step: Callable[[Any], tuple[bool, Any]]
-    increases_colons: bool = False
     constant_reply: bool | None = None
 
 
 @dataclass(frozen=True)
 class FunctionalUnit:
     name: str
-    state_space: str
     operations: Mapping[str, MethodOperation]
     format_state: Callable[[Any], str]
     parse_state: Callable[[str], Any]
@@ -108,26 +106,8 @@ class FunctionalUnit:
                 raise ValueError(f"operation {op.name!r} registered under {key!r}")
 
 
-class NotInInterfaceError(ValueError):
-    pass
-
-
 def interface(unit: FunctionalUnit) -> frozenset[str]:
     return frozenset(unit.operations)
-
-
-def restrict(unit: FunctionalUnit, names: Iterable[str]) -> FunctionalUnit:
-    names = frozenset(names)
-    missing = names - interface(unit)
-    if missing:
-        raise NotInInterfaceError(f"not in interface of {unit.name}: {sorted(missing)}")
-    return FunctionalUnit(
-        unit.name,
-        unit.state_space,
-        {m: op for m, op in unit.operations.items() if m in names},
-        unit.format_state,
-        unit.parse_state,
-    )
 
 
 def _parse_counter(text: str) -> int:
@@ -145,7 +125,7 @@ def _counter_ops() -> dict[str, MethodOperation]:
     }
 
 
-_COUNTER = FunctionalUnit("counter", "counter", _counter_ops(), str, _parse_counter)
+_COUNTER = FunctionalUnit("counter", _counter_ops(), str, _parse_counter)
 
 
 def counter_unit() -> FunctionalUnit:
@@ -162,11 +142,7 @@ def dup_step(state: TapeState) -> tuple[bool, TapeState]:
 
 
 _DUP = FunctionalUnit(
-    "dup",
-    "tape",
-    {"dup": MethodOperation("dup", dup_step, increases_colons=True, constant_reply=True)},
-    format_tape,
-    parse_tape,
+    "dup", {"dup": MethodOperation("dup", dup_step, constant_reply=True)}, format_tape, parse_tape
 )
 
 
@@ -221,19 +197,55 @@ def _tape_basic_ops() -> dict[str, MethodOperation]:
         "test:end": MethodOperation("test:end", _test_end),
         "write:0": MethodOperation("write:0", _write("0"), constant_reply=True),
         "write:1": MethodOperation("write:1", _write("1"), constant_reply=True),
-        "write:colon": MethodOperation(
-            "write:colon", _write(":"), increases_colons=True, constant_reply=True
-        ),
+        "write:colon": MethodOperation("write:colon", _write(":"), constant_reply=True),
         "delete": MethodOperation("delete", _delete),
     }
     return ops
 
 
-_TAPE_BASIC = FunctionalUnit("tapebasic", "tape", _tape_basic_ops(), format_tape, parse_tape)
+_TAPE_BASIC = FunctionalUnit("tapebasic", _tape_basic_ops(), format_tape, parse_tape)
 
 
 def tape_basic_unit() -> FunctionalUnit:
     return _TAPE_BASIC
+
+
+@lru_cache(maxsize=None)
+def _halting_reply(content: str) -> bool:
+    """Reply of the halting operation on a tape with this content: True
+    iff the part before the first ':' encodes a halting-unit program
+    that halts on the rest.
+
+    The rest is answered the same way, so the reply folds from the right
+    over the leading segments that encode halting-unit programs, starting
+    from False (the reply on a content without such a segment).  A loop,
+    not recursion, so any number of segments is answered.
+    """
+    programs = []
+    for segment in content.split(":")[:-1]:
+        y = decode(segment)
+        if y is NOT_AN_ENCODING or foreign_action(y, ("halting",)) is not None:
+            break
+        programs.append(y)
+    reply = False
+    for y in reversed(programs):
+        reply = _halts(y, reply, False)
+    return reply
+
+
+def halting_op_step(state: TapeState) -> tuple[bool, TapeState]:
+    """The halting oracle as a method operation: reply per
+    ``_halting_reply`` on the tape content, and reset the tape to empty."""
+    return _halting_reply(state.content), TapeState("", "")
+
+
+_HALTING_EMPTY = FunctionalUnit(
+    "halting-empty", {"halting": MethodOperation("halting", halting_op_step)}, format_tape, parse_tape
+)
+
+
+def halting_empty_unit() -> FunctionalUnit:
+    return _HALTING_EMPTY
 
 
 def unit_by_name(name: str) -> FunctionalUnit:
@@ -244,73 +256,8 @@ def unit_by_name(name: str) -> FunctionalUnit:
     if name == "dup":
         return _DUP
     if name == "halting-empty":
-        from .halting import halting_empty_unit
-
-        return halting_empty_unit()
+        return _HALTING_EMPTY
     raise ValueError(f"unknown unit {name!r}")
-
-
-# --- derived method operations ------------------------------------------
-
-
-@dataclass(frozen=True)
-class Applied:
-    reply: bool
-    state: Any
-
-
-class _Sentinel:
-    def __init__(self, label: str):
-        self._label = label
-
-    def __repr__(self) -> str:
-        return self._label
-
-
-UNDEFINED = _Sentinel("UNDEFINED")
-UNKNOWN = _Sentinel("UNKNOWN")
-
-
-class WrongFocusError(ValueError):
-    pass
-
-
-class UnknownMethodError(ValueError):
-    pass
-
-
-def derived_operation(
-    x: Program,
-    unit: FunctionalUnit,
-    fuel: int = 10**6,
-) -> Callable[[Any], Applied | _Sentinel]:
-    """Pointwise evaluator for the partial operation a program induces
-    over a unit: run the program against the single service ``FOCUS``
-    holding the unit in the given state.
-
-    Returns Applied(reply, state) on termination, UNDEFINED on proven
-    divergence, UNKNOWN when the fuel runs out first.
-    """
-    action = foreign_action(x, interface(unit))
-    if action is not None and action.focus != FOCUS:
-        raise WrongFocusError(f"{action} does not use focus {FOCUS!r}")
-    if action is not None:
-        raise UnknownMethodError(f"{action.method!r} not in interface of {unit.name}")
-    thread = extract(x)
-
-    def evaluate(state: Any) -> Applied | _Sentinel:
-        from .machine import Converged, ProvenDivergent, run
-        from .services import UnitService, singleton_family
-
-        outcome = run(thread, singleton_family(FOCUS, UnitService(unit, state)), fuel)
-        if isinstance(outcome, Converged):
-            service = outcome.family.entries[FOCUS]
-            return Applied(outcome.reply, service.state)
-        if isinstance(outcome, ProvenDivergent):
-            return UNDEFINED
-        return UNKNOWN
-
-    return evaluate
 
 
 # --- duplication as a derived operation of the tape-basic unit ------------

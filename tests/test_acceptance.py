@@ -20,13 +20,21 @@ from seqhalt.halting import (
     decide_halting_empty_ext,
     diag_interpreter,
     f2d,
-    halting_empty_unit,
     replay_verdict,
     run_total,
     swap,
     validate_solver,
 )
-from seqhalt.machine import Converged, FuelExhausted, ProvenDivergent, apply, reply, run
+from seqhalt.machine import (
+    Applied,
+    Converged,
+    FuelExhausted,
+    ProvenDivergent,
+    apply,
+    derived_operation,
+    reply,
+    run,
+)
 from seqhalt.program import (
     Program,
     encode,
@@ -59,14 +67,13 @@ from seqhalt.threads import (
     projections_agree,
 )
 from seqhalt.units import (
-    Applied,
     TapeState,
     at_left,
     counter_unit,
-    derived_operation,
     dup_step,
     dup_unit,
     dup_witness_program,
+    halting_empty_unit,
     tape_basic_unit,
 )
 
@@ -204,7 +211,7 @@ def test_criterion_02_thread_extraction_and_projection():
         rng2 = random.Random(40_000 + trial)
         t1 = random_thread(rng2, 8)
         t2 = unrolled(t1) if trial % 3 == 0 else random_thread(rng2, 8)
-        depth = 2 * max(t1.states(), t2.states())
+        depth = 2 * max(len(t1.nodes), len(t2.nodes))
         assert bisimilar(t1, t2) == projections_agree(t1, t2, depth)
         pairs += 1
     _report(2, "thread-extraction", projection_threads=60, bisim_pairs=pairs)

@@ -155,8 +155,9 @@ def test_sweep_suites(capsys):
 
 
 def test_sweep_guard(capsys):
-    code, _, err = invoke(capsys, "sweep", "--suite", "dup-decider", "--max-len", "6")
-    assert code == 2 and "guarded" in err
+    for max_len in ("6", "0", "-1"):
+        code, _, err = invoke(capsys, "sweep", "--suite", "dup-decider", "--max-len", max_len)
+        assert code == 2 and "guarded" in err
 
 
 def test_outputs_reproducible(capsys):

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_program, st_program
+from seqhalt import halting
 from seqhalt.machine import Converged, FuelExhausted, ProvenDivergent, run
-from seqhalt.program import Program, TermFalse, TermTrue, encode, parse, render
+from seqhalt.program import Program, TermFalse, TermTrue, encode, enumerate_programs, parse, render
 from seqhalt.services import Reply, UnitService, singleton_family
 from seqhalt.halting import (
     HypothesisViolationError,
@@ -23,8 +24,6 @@ from seqhalt.halting import (
     diag_solver,
     diag_solver_alt,
     f2d,
-    halting_empty_unit,
-    halting_op_step,
     leads_to_first_application,
     replay_verdict,
     run_total,
@@ -32,7 +31,7 @@ from seqhalt.halting import (
     validate_solver,
     verdict_record,
 )
-from seqhalt.units import at_left, counter_unit, dup_unit
+from seqhalt.units import at_left, counter_unit, dup_unit, halting_empty_unit, halting_op_step
 
 
 def halting_family(word):
@@ -490,3 +489,34 @@ class TestDupPrefixLaw:
             bounded = run(x, dup_family(f"{bits}:{word}"), 2000)
             if not isinstance(bounded, FuelExhausted):
                 assert definite_reply(bounded) == right
+
+
+class TestSweepsKeepTenCounterexamples:
+    """A broken decider makes every sweep disagree often; the count is
+    exact and only the first ten counterexamples are kept."""
+
+    def test_dup_decider(self, monkeypatch):
+        programs = list(enumerate_programs({"dup"}, 2))
+        expected = sum(not decide_halting_dup(x) for x in programs)
+        monkeypatch.setattr(halting, "decide_halting_dup", lambda x: True)
+        result = halting.sweep_dup_decider(2)
+        assert expected > 10
+        assert (result["agree"], result["disagree"]) == (len(programs) - expected, expected)
+        assert len(result["counterexamples"]) == 10
+
+    def test_empty_halting(self, monkeypatch):
+        blocks = halting.bit_blocks(2)
+        states = [at_left(w) for w in blocks + [f"{a}:{b}" for a in blocks for b in blocks]]
+        programs = list(enumerate_programs({"halting"}, 1))
+        expected = sum(not decide_halting_empty_ext(y, v) for y in programs for v in states)
+        monkeypatch.setattr(halting, "decide_halting_empty_ext", lambda y, v: True)
+        result = halting.sweep_empty_halting(1)
+        assert expected > 10
+        assert (result["agree"], result["disagree"]) == (len(programs) * len(states) - expected, expected)
+        assert len(result["counterexamples"]) == 10
+
+    def test_diagonal(self, monkeypatch):
+        monkeypatch.setattr(halting, "validate_solver", lambda x, form: NotRefuted(0))
+        result = halting.sweep_diagonal(2)
+        assert (result["refuted"], result["not-refuted"]) == (0, len(list(enumerate_programs({"dup"}, 2))))
+        assert len(result["counterexamples"]) == 10

@@ -83,3 +83,22 @@ def test_orphaned_private_name_is_found():
         "def _called(): return _used + m._attr\ndef _orphan(): pass\nclass _Gone: pass\n_called()\n"
     )
     assert private_definitions(tree) - loaded_names(tree) == {"_unused", "_orphan", "_Gone"}
+
+
+# Each module imports only modules before it in this list.
+LAYERS = ["program", "threads", "units", "services", "machine", "halting", "cli"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_import_inside_a_function(path):
+    tree = ast.parse(path.read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert [n.lineno for n in imports if n not in tree.body] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_imports_run_one_way(path):
+    tree = ast.parse(path.read_text())
+    below = LAYERS[: LAYERS.index(path.stem)]
+    imported = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
+    assert [m for m in imported if m not in below] == []

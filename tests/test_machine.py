@@ -113,7 +113,7 @@ class TestRun:
 
     def test_lying_unit_caught_on_every_path(self):
         liar = FunctionalUnit(
-            "liar", "counter", {"m": MethodOperation("m", lambda n: (False, n), constant_reply=True)}, str, int
+            "liar", {"m": MethodOperation("m", lambda n: (False, n), constant_reply=True)}, str, int
         )
         fam = singleton_family("f", UnitService(liar, 0))
         for evaluate in (run, run_total):

@@ -18,7 +18,6 @@ from seqhalt.program import (
     decode,
     encode,
     enumerate_programs,
-    make,
     parse,
     render,
 )
@@ -60,8 +59,8 @@ def test_parse_rejects_malformed(text):
 
 
 def test_render_canonical():
-    assert render(make(TERM_TRUE)) == "!t"
-    assert render(make(NegTest(BasicInstruction("f", "dup")), BwdJump(1))) == "-f.dup;\\#1"
+    assert render(Program((TERM_TRUE,))) == "!t"
+    assert render(Program((NegTest(BasicInstruction("f", "dup")), BwdJump(1)))) == "-f.dup;\\#1"
     assert render(parse("f.test:0;#2;!f")) == "f.test:0;#2;!f"
 
 
@@ -71,7 +70,7 @@ def test_parse_render_round_trip(x):
 
 
 def test_encode_term_true_bits():
-    assert encode(make(TERM_TRUE)) == "0010000101110100"
+    assert encode(Program((TERM_TRUE,))) == "0010000101110100"
 
 
 def test_encode_injective_on_enumerated_set():

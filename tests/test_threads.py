@@ -17,7 +17,6 @@ from seqhalt.threads import (
     bisimilar,
     constant_thread,
     extract,
-    format_thread,
     project,
     projections_agree,
 )
@@ -74,7 +73,7 @@ class TestExtractionRows:
     def test_node_budget(self):
         for text in ("f.m;+f.m;-f.m;#2;!t;!f", "+f.m;\\#1;!f"):
             x = parse(text)
-            assert extract(x).states() <= len(x) + 3
+            assert len(extract(x).nodes) <= len(x) + 3
 
 
 class TestProjection:
@@ -159,7 +158,7 @@ class TestBisimilarity:
         for trial in range(150):
             t1 = random_thread(rng)
             t2 = unrolled(t1) if trial % 3 == 0 else random_thread(rng)
-            depth = 2 * max(t1.states(), t2.states())
+            depth = 2 * max(len(t1.nodes), len(t2.nodes))
             assert bisimilar(t1, t2) == projections_agree(t1, t2, depth)
 
     def test_deep_projections_agree(self):
@@ -176,13 +175,6 @@ class TestBisimilarity:
                 assert projections_agree(t1, t2, depth) == (
                     project(depth, t1) == project(depth, t2)
                 )
-
-
-def test_format_thread_dump():
-    dump = format_thread(extract(parse("+f.m;!t;!f")))
-    assert "root: 1" in dump
-    assert "1: f.m ? S+ : S-" in dump
-    assert "S+: S+" in dump
 
 
 def test_closed_system_enforced():
