@@ -231,16 +231,18 @@ def encode(x: Program) -> str:
     return "".join(format(byte, "08b") for byte in render(x).encode("ascii"))
 
 
+# Whole bytes of ASCII 0s and 1s, nothing after: int(bits, 2) alone would
+# also take '_', a sign, surrounding whitespace and non-ASCII digits.
+_BYTES = re.compile(r"(?:[01]{8})+\Z")
+
+
 def decode(bits: str) -> Program | _Sentinel:
     """Inverse of :func:`encode` on its image; NOT_AN_ENCODING elsewhere."""
-    if len(bits) % 8 != 0 or any(c not in "01" for c in bits):
-        return NOT_AN_ENCODING
-    values = [int(bits[i : i + 8], 2) for i in range(0, len(bits), 8)]
-    if any(v > 0x7F for v in values):
+    if not _BYTES.match(bits):
         return NOT_AN_ENCODING
     try:
-        return parse(bytes(values).decode("ascii"))
-    except ProgramSyntaxError:
+        return parse(int(bits, 2).to_bytes(len(bits) // 8, "big").decode("ascii"))
+    except (UnicodeDecodeError, ProgramSyntaxError):
         return NOT_AN_ENCODING
 
 

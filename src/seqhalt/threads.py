@@ -12,7 +12,9 @@ branch is semantically identified with its then branch.
 transparently: a position outside the program, a 0-jump, or a cyclic jump
 chain all yield deadlock.  ``project`` cuts a thread off after a given
 number of actions; two regular threads are equal exactly when all finite
-projections agree, which ``bisimilar`` decides by partition refinement.
+projections agree.  ``bisimilar`` and ``projections_agree`` both read
+the first depth at which the projections differ off one breadth-first
+walk over the node pairs reached in lockstep from the two roots.
 """
 
 from __future__ import annotations
@@ -237,68 +239,48 @@ def _normalised_refs(node: PostCond) -> tuple[NodeId, NodeId]:
 
 
 def bisimilar(t1: RegularThread, t2: RegularThread) -> bool:
-    """Behavioural equality of two regular threads (tau-normalised)."""
-    nodes: dict[tuple[str, NodeId], ThreadNode] = {}
-    for tag, t in (("a", t1), ("b", t2)):
-        for ref, node in t.nodes.items():
-            nodes[(tag, ref)] = node
-
-    def base(node: ThreadNode):
-        if isinstance(node, PostCond):
-            return ("post", node.action)
-        return (str(node),)
-
-    block = _canonical({key: base(node) for key, node in nodes.items()})
-    while True:
-        signature = {}
-        for key, node in nodes.items():
-            if isinstance(node, PostCond):
-                tag = key[0]
-                then_ref, else_ref = _normalised_refs(node)
-                signature[key] = (block[key], block[(tag, then_ref)], block[(tag, else_ref)])
-            else:
-                signature[key] = (block[key],)
-        refined = _canonical(signature)
-        if refined == block:
-            return block[("a", t1.root)] == block[("b", t2.root)]
-        block = refined
-
-
-def _canonical(signature: dict) -> dict:
-    numbering: dict = {}
-    out = {}
-    for key in sorted(signature, key=str):
-        sig = signature[key]
-        if sig not in numbering:
-            numbering[sig] = len(numbering)
-        out[key] = numbering[sig]
-    return out
+    """Behavioural equality of two regular threads (tau-normalised): all
+    their finite projections agree."""
+    return _first_disagreement(t1, t2) is None
 
 
 def projections_agree(t1: RegularThread, t2: RegularThread, depth: int) -> bool:
     """Whether project(n, t1) == project(n, t2) for every n <= depth.
 
-    Computed without materialising the trees (they grow exponentially);
-    agreement at the maximal depth implies agreement at all smaller ones.
+    Computed without materialising the trees (they grow exponentially).
     """
-    # The node pairs reachable in lockstep from the roots, each with its
-    # branch pairs, or None when the two nodes differ on their own.
-    branches: dict[tuple[NodeId, NodeId], list | None] = {}
-    todo = [(t1.root, t2.root)]
-    while todo:
-        pair = todo.pop()
-        if pair in branches:
-            continue
-        n1, n2 = t1.nodes[pair[0]], t2.nodes[pair[1]]
-        if not isinstance(n1, PostCond) or not isinstance(n2, PostCond):
-            branches[pair] = [] if type(n1) is type(n2) else None
-        elif n1.action == n2.action:
-            branches[pair] = list(zip(_normalised_refs(n1), _normalised_refs(n2)))
-            todo += branches[pair]
-        else:
-            branches[pair] = None
-    # Agreement of every pair at depth 0, then one depth at a time.
-    agree = dict.fromkeys(branches, True)
-    for _ in range(depth):
-        agree = {p: bs is not None and all(agree[b] for b in bs) for p, bs in branches.items()}
-    return agree[(t1.root, t2.root)]
+    first = _first_disagreement(t1, t2)
+    return first is None or first > depth
+
+
+def _first_disagreement(t1: RegularThread, t2: RegularThread) -> int | None:
+    """The least depth at which the projections of t1 and t2 differ, or
+    None if they agree at every depth.
+
+    A breadth-first walk over the node pairs reached in lockstep from the
+    roots, each visited once (Hopcroft and Karp's pair walk).  A pair first
+    reached after k actions whose two nodes differ on their own (distinct
+    terminals, a terminal against a postconditional, or distinct actions)
+    makes the projections differ from depth k + 1 on; pairs of agreeing
+    nodes only pass the question on to their branch pairs.
+    """
+    level = [(t1.root, t2.root)]
+    seen = set(level)
+    depth = 1
+    while level:
+        reached = []
+        for ref1, ref2 in level:
+            n1, n2 = t1.nodes[ref1], t2.nodes[ref2]
+            if not isinstance(n1, PostCond) or not isinstance(n2, PostCond):
+                if type(n1) is not type(n2):
+                    return depth
+            elif n1.action != n2.action:
+                return depth
+            else:
+                for pair in zip(_normalised_refs(n1), _normalised_refs(n2)):
+                    if pair not in seen:
+                        seen.add(pair)
+                        reached.append(pair)
+        level = reached
+        depth += 1
+    return None

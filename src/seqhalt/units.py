@@ -210,7 +210,12 @@ def tape_basic_unit() -> FunctionalUnit:
     return _TAPE_BASIC
 
 
-@lru_cache(maxsize=None)
+# Entries the halting oracle's reply cache keeps, the least recently used
+# evicted first.
+_HALTING_REPLIES = 4096
+
+
+@lru_cache(maxsize=_HALTING_REPLIES)
 def _halting_reply(content: str) -> bool:
     """Reply of the halting operation on a tape with this content: True
     iff the part before the first ':' encodes a halting-unit program

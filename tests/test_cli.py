@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import runpy
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -158,6 +159,20 @@ def test_sweep_guard(capsys):
     for max_len in ("6", "0", "-1"):
         code, _, err = invoke(capsys, "sweep", "--suite", "dup-decider", "--max-len", max_len)
         assert code == 2 and "guarded" in err
+
+
+def test_run_sweeps_script(capsys, monkeypatch):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_sweeps.py"
+    monkeypatch.setattr("sys.argv", ["run_sweeps.py", "--max-len", "1"])
+    assert runpy.run_path(str(script))["main"]() == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "== sweep dup-decider (max-len 1)",
+        "agree=11 disagree=0",
+        "== sweep empty-halting (max-len 1)",
+        "agree=616 disagree=0",
+        "== sweep diagonal (max-len 1)",
+        "refuted=11 not-refuted=0",
+    ]
 
 
 def test_outputs_reproducible(capsys):

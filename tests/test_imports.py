@@ -102,3 +102,46 @@ def test_imports_run_one_way(path):
     below = LAYERS[: LAYERS.index(path.stem)]
     imported = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
     assert [m for m in imported if m not in below] == []
+
+
+def unbounded_caches(tree: ast.Module) -> list[int]:
+    """Lines of ``cache``/``lru_cache`` decorators without an integer
+    ``maxsize``, given as a literal or as a module-level constant."""
+    constants = {
+        t.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for t in node.targets
+        if isinstance(t, ast.Name)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        for decorator in getattr(node, "decorator_list", []):
+            call = decorator if isinstance(decorator, ast.Call) else ast.Call(decorator, [], [])
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) not in ("cache", "lru_cache"):
+                continue
+            sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+            size = sizes[0] if sizes else None
+            if isinstance(size, ast.Name):
+                size = constants.get(size.id)
+            elif isinstance(size, ast.Constant):
+                size = size.value
+            if type(size) is not int:
+                lines.append(decorator.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_caches_are_bounded(path):
+    assert unbounded_caches(ast.parse(path.read_text())) == []
+
+
+def test_unbounded_cache_is_found():
+    tree = ast.parse(
+        "import functools\nfrom functools import cache, lru_cache\n_SIZE = 8\n_NONE = None\n"
+        "@lru_cache(maxsize=None)\ndef a(): pass\n@functools.cache\ndef b(): pass\n"
+        "@lru_cache\ndef c(): pass\n@lru_cache(maxsize=_NONE)\ndef d(): pass\n"
+        "@lru_cache(maxsize=4)\ndef e(): pass\n@lru_cache(16)\ndef f(): pass\n"
+        "@functools.lru_cache(maxsize=_SIZE)\ndef g(): pass\n@staticmethod\ndef h(): pass\n"
+    )
+    assert unbounded_caches(tree) == [5, 7, 9, 11]

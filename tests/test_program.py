@@ -95,6 +95,11 @@ def test_decode_inverts_encode(x):
         encode(parse("!t"))[:8] + "1",
         "0011101100111011",  # bits of ";;"
         "",
+        "0_100001" * 2,  # int(..., 2) takes underscores
+        " 0100001" + "01110100",  # ... surrounding whitespace
+        "+0100001" + "01110100",  # ... a sign
+        "0010000101110100\n",  # '$' would match before a trailing newline
+        "٠١" * 8,  # ... and non-ASCII digits
     ],
 )
 def test_decode_rejects_non_encodings(bits):

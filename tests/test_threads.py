@@ -167,6 +167,12 @@ class TestBisimilarity:
         assert projections_agree(t, extract(parse("f.dup;f.dup;\\#2")), 3000)
         assert not projections_agree(t, extract(parse("f.dup;!t")), 3000)
 
+    def test_first_disagreement_depth(self):
+        t1 = extract(parse("f.dup;f.dup;!t"))
+        t2 = extract(parse("f.dup;f.dup;!f"))
+        assert projections_agree(t1, t2, 2)
+        assert not projections_agree(t1, t2, 3)
+
     def test_projections_agree_matches_materialised_trees(self):
         rng = random.Random(11)
         for _ in range(40):
@@ -175,6 +181,10 @@ class TestBisimilarity:
                 assert projections_agree(t1, t2, depth) == (
                     project(depth, t1) == project(depth, t2)
                 )
+            # Threads with m and n nodes that agree to depth m + n agree
+            # at every depth.
+            depth = len(t1.nodes) + len(t2.nodes)
+            assert bisimilar(t1, t2) == (project(depth, t1) == project(depth, t2))
 
 
 def test_closed_system_enforced():
