@@ -4,7 +4,8 @@ Subcommands: parse, run, transform, encode, decode, decide,
 validate-solver, check-interpreter, sweep.  Every subcommand accepts
 --json for machine-readable output.  Exit codes: 0 success, 1 domain
 negative (refuted candidate, sweep counterexample), 2 usage or parse
-error.  Output is reproducible: no timestamps, no randomness.
+error, 3 internal error (a bug; its traceback goes to stderr).  Output
+is reproducible: no timestamps, no randomness.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .halting import (
     NotRefuted,
@@ -48,11 +50,7 @@ def _cmd_parse(args) -> int:
 def _cmd_run(args) -> int:
     x = parse(args.program)
     family = parse_family(args.family)
-    trace: list[str] | None = [] if args.trace else None
-    outcome = run(x, family, args.fuel, trace)
-    if trace:
-        for line in trace:
-            print(line)
+    outcome = run(x, family, args.fuel, print if args.trace else None)
     if isinstance(outcome, Converged):
         literal = format_family(outcome.family)
         text = ("T" if outcome.reply else "F") + (f" {literal}" if literal else "")
@@ -231,13 +229,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # Every usage and parse error is a ValueError; anything else is a bug
-    # and keeps its traceback.
+    # Every usage and parse error is a ValueError; anything else is a bug.
+    # It exits 3, so that it is read neither as a usage error (2) nor as a
+    # domain negative (1, the code an uncaught exception would give).
     try:
         return args.func(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,6 +12,10 @@ on the node only, which is sound when every reply involved has a
 declared state-independent value: each node then has a fixed successor,
 so revisiting one closes an infinite loop.
 
+A tau action is stepped like a basic one whose reply is always True,
+without touching a service.  ``run`` reports each step, as it happens,
+to an optional trace hook: one formatted line per step.
+
 ``derived_operation`` is the partial operation a program induces over a
 unit: one ``run`` against the singleton family holding the unit.
 """
@@ -79,7 +83,7 @@ def _step_loop(
     thread: RegularThread,
     family: ServiceFamily,
     fuel: float,
-    trace: list[str] | None,
+    trace: Callable[[str], None] | None,
     state_key: Callable[[dict[str, Service]], Hashable],
 ) -> Outcome:
     """The step loop of both evaluators.  A configuration is the current
@@ -103,27 +107,21 @@ def _step_loop(
         if steps >= fuel:
             return FuelExhausted(steps)
         seen.add(configuration)
-        if isinstance(node.action, Tau):
-            steps += 1
-            if trace is not None:
-                trace.append(
-                    f"pc={current} action=tau reply=T state={format_family(entries)}"
-                )
-            current = node.then_ref
-            continue
-        focus = node.action.focus
-        service = entries.get(focus)
-        if service is None:
-            return ProvenDivergent(DivergenceCause.MISSING_FOCUS, steps)
-        reply, successor = service_step(service, node.action.method)
-        if reply is Reply.DIVERGENT:
-            return ProvenDivergent(DivergenceCause.REPLY_D, steps)
-        entries[focus] = successor
+        action = node.action
+        if isinstance(action, Tau):
+            reply = Reply.TRUE
+        else:
+            focus = action.focus
+            service = entries.get(focus)
+            if service is None:
+                return ProvenDivergent(DivergenceCause.MISSING_FOCUS, steps)
+            reply, successor = service_step(service, action.method)
+            if reply is Reply.DIVERGENT:
+                return ProvenDivergent(DivergenceCause.REPLY_D, steps)
+            entries[focus] = successor
         steps += 1
         if trace is not None:
-            trace.append(
-                f"pc={current} action={node.action} reply={reply} state={format_family(entries)}"
-            )
+            trace(f"pc={current} action={action} reply={reply} state={format_family(entries)}")
         current = node.then_ref if reply is Reply.TRUE else node.else_ref
 
 
@@ -131,9 +129,14 @@ def run(
     x: Program | RegularThread,
     family: ServiceFamily,
     fuel: int = DEFAULT_FUEL,
-    trace: list[str] | None = None,
+    trace: Callable[[str], None] | None = None,
 ) -> Outcome:
-    """Small-step execution; deterministic and monotone in fuel."""
+    """Small-step execution; deterministic and monotone in fuel.
+
+    ``trace``, when given, is called once per step, in step order and
+    before the next step runs, with the line
+    ``pc=<node> action=<action> reply=<T|F> state=<family literal>``.
+    """
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
     return _step_loop(_as_thread(x), family, fuel, trace, family_key)

@@ -249,6 +249,8 @@ def projections_agree(t1: RegularThread, t2: RegularThread, depth: int) -> bool:
 
     Computed without materialising the trees (they grow exponentially).
     """
+    if depth < 0:
+        raise ValueError("depth must be a natural number")
     first = _first_disagreement(t1, t2)
     return first is None or first > depth
 

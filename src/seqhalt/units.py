@@ -26,16 +26,10 @@ from .program import (
     _COUNT_RE,
     FOCUS,
     NOT_AN_ENCODING,
-    BasicInstruction,
-    BwdJump,
-    FwdJump,
-    Plain,
-    PosTest,
     Program,
-    TERM_FALSE,
-    TERM_TRUE,
     decode,
     foreign_action,
+    parse,
 )
 from .threads import _halts
 
@@ -267,71 +261,58 @@ def unit_by_name(name: str) -> FunctionalUnit:
 
 # --- duplication as a derived operation of the tape-basic unit ------------
 
-_Item = tuple
 
+def _assemble(items: list[str]) -> Program:
+    """Resolve labelled program text into a program with relative jumps.
 
-def _assemble(items: list[_Item]) -> Program:
-    """Resolve a labelled item list into a program with relative jumps."""
+    An item is a label ``name:`` for the position of the next instruction,
+    a jump ``goto name``, a terminal such as ``!t``, or a basic instruction
+    written without its focus (``mvr``, ``+test:0``): all of them are on
+    ``FOCUS``.
+    """
     positions: dict[str, int] = {}
-    pc = 1
+    tokens: list[str] = []
     for item in items:
-        if item[0] == "label":
-            positions[item[1]] = pc
+        if item.endswith(":"):
+            positions[item[:-1]] = len(tokens) + 1
+        elif item.startswith(("goto ", "!")):
+            tokens.append(item)
         else:
-            pc += 1
-    out = []
-    pc = 1
-    for item in items:
-        kind = item[0]
-        if kind == "label":
-            continue
-        if kind == "plain":
-            out.append(Plain(BasicInstruction(FOCUS, item[1])))
-        elif kind == "pos":
-            out.append(PosTest(BasicInstruction(FOCUS, item[1])))
-        elif kind == "goto":
-            target = positions[item[1]]
-            if target > pc:
-                out.append(FwdJump(target - pc))
-            elif target < pc:
-                out.append(BwdJump(pc - target))
-            else:
-                raise ValueError(f"self-jump at {item[1]!r}")
-        elif kind == "halt":
-            out.append(TERM_TRUE if item[1] else TERM_FALSE)
-        else:
-            raise ValueError(f"bad item {item!r}")
-        pc += 1
-    return Program(tuple(out))
+            _, sign, method = item.rpartition("+")
+            tokens.append(f"{sign}{FOCUS}.{method}")
+    for pc, token in enumerate(tokens, 1):
+        if token.startswith("goto "):
+            target = positions[token[5:]]
+            if target == pc:
+                raise ValueError(f"self-jump at {token[5:]!r}")
+            tokens[pc - 1] = f"#{target - pc}" if target > pc else f"\\#{pc - target}"
+    return parse(";".join(tokens))
 
 
-def _branch(method: str, if_true: str, if_false: str) -> list[_Item]:
-    return [("pos", method), ("goto", if_true), ("goto", if_false)]
+def _branch(method: str, if_true: str, if_false: str) -> list[str]:
+    return [f"+{method}", f"goto {if_true}", f"goto {if_false}"]
 
 
-def _prepend_ir(symbol: str, tag: str) -> list[_Item]:
+def _prepend_ir(symbol: str, tag: str) -> list[str]:
     """Insert one symbol in front of the whole content: walk to the right
     end, shift every cell one place right, then write the symbol into
     cell 0.  Ends with the head on cell 0."""
     w = {"0": "write:0", "1": "write:1", ":": "write:colon"}[symbol]
-    items: list[_Item] = []
-    items += [("label", f"{tag}.end")] + _branch("test:end", f"{tag}.enter", f"{tag}.step")
-    items += [("label", f"{tag}.step"), ("plain", "mvr"), ("goto", f"{tag}.end")]
+    items = [f"{tag}.end:"] + _branch("test:end", f"{tag}.enter", f"{tag}.step")
+    items += [f"{tag}.step:", "mvr", f"goto {tag}.end"]
     # mvl fails only on an empty tape, where the write below appends.
-    items += [("label", f"{tag}.enter")] + _branch("mvl", f"{tag}.shift", f"{tag}.write")
-    items += [("label", f"{tag}.shift")] + _branch("test:0", f"{tag}.c0", f"{tag}.n0")
-    items += [("label", f"{tag}.n0")] + _branch("test:1", f"{tag}.c1", f"{tag}.cc")
-    items += [("label", f"{tag}.c0"), ("plain", "mvr"), ("plain", "write:0"), ("goto", f"{tag}.back")]
-    items += [("label", f"{tag}.c1"), ("plain", "mvr"), ("plain", "write:1"), ("goto", f"{tag}.back")]
-    items += [("label", f"{tag}.cc"), ("plain", "mvr"), ("plain", "write:colon"), ("goto", f"{tag}.back")]
-    items += [("label", f"{tag}.back"), ("plain", "mvl")] + _branch(
-        "mvl", f"{tag}.shift", f"{tag}.write"
-    )
-    items += [("label", f"{tag}.write"), ("plain", w)]
+    items += [f"{tag}.enter:"] + _branch("mvl", f"{tag}.shift", f"{tag}.write")
+    items += [f"{tag}.shift:"] + _branch("test:0", f"{tag}.c0", f"{tag}.n0")
+    items += [f"{tag}.n0:"] + _branch("test:1", f"{tag}.c1", f"{tag}.cc")
+    items += [f"{tag}.c0:", "mvr", "write:0", f"goto {tag}.back"]
+    items += [f"{tag}.c1:", "mvr", "write:1", f"goto {tag}.back"]
+    items += [f"{tag}.cc:", "mvr", "write:colon", f"goto {tag}.back"]
+    items += [f"{tag}.back:", "mvl"] + _branch("mvl", f"{tag}.shift", f"{tag}.write")
+    items += [f"{tag}.write:", w]
     return items
 
 
-def _dup_witness_ir() -> list[_Item]:
+def _dup_witness_ir() -> list[str]:
     # Plan: rewind; plant a ':' separator in front; then walk the leading
     # bit block right-to-left, and for each bit mark its cell with ':',
     # prepend a copy of the bit at the front (the shift keeps the mark),
@@ -339,31 +320,30 @@ def _dup_witness_ir() -> list[_Item]:
     # Prepending right-to-left lays the copy down in source order, so the
     # loop ends with content  block ':' block rest  and the head on the
     # separator.
-    items: list[_Item] = []
-    items += [("label", "rew")] + _branch("mvl", "rew", "sep")
-    items += [("label", "sep")] + _prepend_ir(":", "p.sep")
+    items = ["rew:"] + _branch("mvl", "rew", "sep")
+    items += ["sep:"] + _prepend_ir(":", "p.sep")
     # Find the right edge of the leading bit block; mvr off the separator
     # first (the content is non-empty: the separator is there).
-    items += [("plain", "mvr")]
-    items += [("label", "seek")] + _branch("test:0", "seek.adv", "seek.n0")
-    items += [("label", "seek.n0")] + _branch("test:1", "seek.adv", "seek.stop")
-    items += [("label", "seek.adv"), ("plain", "mvr"), ("goto", "seek")]
-    items += [("label", "seek.stop"), ("plain", "mvl")]
-    items += [("label", "main")] + _branch("test:colon", "fin", "main.bit")
-    items += [("label", "main.bit")] + _branch("test:0", "b0", "b1")
+    items += ["mvr"]
+    items += ["seek:"] + _branch("test:0", "seek.adv", "seek.n0")
+    items += ["seek.n0:"] + _branch("test:1", "seek.adv", "seek.stop")
+    items += ["seek.adv:", "mvr", "goto seek"]
+    items += ["seek.stop:", "mvl"]
+    items += ["main:"] + _branch("test:colon", "fin", "main.bit")
+    items += ["main.bit:"] + _branch("test:0", "b0", "b1")
     for bit, tag in (("0", "b0"), ("1", "b1")):
-        items += [("label", tag), ("plain", "write:colon")]
+        items += [f"{tag}:", "write:colon"]
         items += _prepend_ir(bit, f"p.{tag}")
         # Scan to the first ':' (the separator), step past it, scan to the
         # next ':' (the mark), restore the bit there, step left, loop.
-        items += [("label", f"{tag}.w1")] + _branch("test:colon", f"{tag}.past", f"{tag}.s1")
-        items += [("label", f"{tag}.s1"), ("plain", "mvr"), ("goto", f"{tag}.w1")]
-        items += [("label", f"{tag}.past"), ("plain", "mvr")]
-        items += [("label", f"{tag}.w2")] + _branch("test:colon", f"{tag}.fix", f"{tag}.s2")
-        items += [("label", f"{tag}.s2"), ("plain", "mvr"), ("goto", f"{tag}.w2")]
-        items += [("label", f"{tag}.fix"), ("plain", f"write:{bit}"), ("plain", "mvl"), ("goto", "main")]
-    items += [("label", "fin")] + _branch("mvl", "fin", "fin.t")
-    items += [("label", "fin.t"), ("halt", True)]
+        items += [f"{tag}.w1:"] + _branch("test:colon", f"{tag}.past", f"{tag}.s1")
+        items += [f"{tag}.s1:", "mvr", f"goto {tag}.w1"]
+        items += [f"{tag}.past:", "mvr"]
+        items += [f"{tag}.w2:"] + _branch("test:colon", f"{tag}.fix", f"{tag}.s2")
+        items += [f"{tag}.s2:", "mvr", f"goto {tag}.w2"]
+        items += [f"{tag}.fix:", f"write:{bit}", "mvl", "goto main"]
+    items += ["fin:"] + _branch("mvl", "fin", "fin.t")
+    items += ["fin.t:", "!t"]
     return items
 
 

@@ -145,3 +145,26 @@ def test_unbounded_cache_is_found():
         "@functools.lru_cache(maxsize=_SIZE)\ndef g(): pass\n@staticmethod\ndef h(): pass\n"
     )
     assert unbounded_caches(tree) == [5, 7, 9, 11]
+
+
+def settable_values(tree: ast.Module) -> int:
+    """Parameters with a default, over the public top-level functions."""
+    count = 0
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+    return count
+
+
+def test_settable_values():
+    # Each new default is one more value that tests and benchmarks must
+    # cover; raise this count only with a caller that needs the value.
+    assert sum(settable_values(ast.parse(p.read_text())) for p in SOURCES) == 11
+
+
+def test_settable_value_is_counted():
+    tree = ast.parse(
+        "def a(x, y=1, *, z=2, w): pass\nasync def b(x=0): pass\ndef _c(x=0): pass\n"
+        "class D:\n    def e(self, x=0): pass\ndef f(x):\n    def g(y=0): pass\n"
+    )
+    assert settable_values(tree) == 3

@@ -70,17 +70,19 @@ class TestRun:
     def test_tau_consumes_a_step_without_touching_family(self):
         thread = RegularThread({0: PostCond(TAU, 1, 1), 1: STOP_TRUE}, 0)
         fam = counter_family(5)
-        assert run(thread, fam) == Converged(True, fam, 1)
+        trace = []
+        assert run(thread, fam, trace=trace.append) == Converged(True, fam, 1)
+        assert trace == ["pc=0 action=tau reply=T state=f=counter:5"]
 
     def test_trace_lines(self):
         trace = []
-        run(parse("f.dup;!t"), dup_family("10"), trace=trace)
+        run(parse("f.dup;!t"), dup_family("10"), trace=trace.append)
         assert trace == ["pc=1 action=f.dup reply=T state=f=dup:|10:10"]
 
     def test_cycle_witness_replays(self):
         # pred drives the counter 3,2,1,0 and then loops at 0
         trace = []
-        out = run(parse("f.pred;\\#1"), counter_family(3), trace=trace)
+        out = run(parse("f.pred;\\#1"), counter_family(3), trace=trace.append)
         assert out == ProvenDivergent(DivergenceCause.CYCLE, 4)
         seen = set()
         repeats = []
@@ -92,8 +94,20 @@ class TestRun:
             seen.add((pc, state))
         assert repeats == [("pc=1", "f=counter:0")]
         again = []
-        assert run(parse("f.pred;\\#1"), counter_family(3), trace=again) == out
+        assert run(parse("f.pred;\\#1"), counter_family(3), trace=again.append) == out
         assert again == trace
+
+    def test_trace_is_delivered_per_step(self):
+        delivered = []
+
+        def hook(line):
+            if delivered:
+                raise RuntimeError("second step")
+            delivered.append(line)
+
+        with pytest.raises(RuntimeError, match="second step"):
+            run(parse("f.succ;\\#1"), counter_family(0), trace=hook)
+        assert delivered == ["pc=1 action=f.succ reply=T state=f=counter:1"]
 
     def test_deterministic(self):
         rng = random.Random(5)

@@ -93,6 +93,13 @@ class TestProjection:
         t = extract(parse("+f.m;!t;!f"))
         assert project(2, t) == TreeNode(FM, STOP_TRUE, STOP_FALSE)
 
+    def test_negative_depth_rejected(self):
+        t1, t2 = extract(parse("!t")), extract(parse("!f"))
+        with pytest.raises(ValueError, match="depth must be a natural number"):
+            project(-1, t1)
+        with pytest.raises(ValueError, match="depth must be a natural number"):
+            projections_agree(t1, t2, -1)
+
     def test_tau_normalised(self):
         regular = RegularThread({0: PostCond(TAU, 1, 2), 1: STOP_TRUE, 2: STOP_FALSE}, 0)
         for t in (regular, TreeNode(TAU, STOP_TRUE, STOP_FALSE)):
