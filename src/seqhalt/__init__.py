@@ -13,6 +13,7 @@ solvers and interpreters) and ``cli``.
 from .machine import Converged, FuelExhausted, ProvenDivergent, apply, converges, derived_operation, reply, run, run_total
 from .program import (
     NOT_AN_ENCODING,
+    InputError,
     Program,
     decode,
     encode,

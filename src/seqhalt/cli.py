@@ -3,15 +3,19 @@
 Subcommands: parse, run, transform, encode, decode, decide,
 validate-solver, check-interpreter, sweep.  Every subcommand accepts
 --json for machine-readable output.  Exit codes: 0 success, 1 domain
-negative (refuted candidate, sweep counterexample), 2 usage or parse
-error, 3 internal error (a bug; its traceback goes to stderr).  Output
-is reproducible: no timestamps, no randomness.
+negative (refuted candidate, sweep counterexample), 2 input rejected
+(an ``InputError``: usage, parse or program-class error), 3 internal
+error (a bug; its traceback goes to stderr), 141 the reader closed
+stdout (the status of a process that SIGPIPE ended).  Output is
+reproducible: no timestamps, no randomness.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import sys
 import traceback
 
@@ -30,7 +34,7 @@ from .halting import (
     verdict_record,
 )
 from .machine import Converged, DEFAULT_FUEL, ProvenDivergent, run
-from .program import NOT_AN_ENCODING, decode, encode, parse, render
+from .program import NOT_AN_ENCODING, InputError, decode, encode, parse, render
 from .services import format_family, parse_family
 from .units import parse_tape
 
@@ -119,7 +123,7 @@ def _cmd_check_interpreter(args) -> int:
     for item in args.sample or []:
         text, sep, literal = item.partition("@")
         if not sep:
-            raise ValueError(f"sample must look like PROGRAM@STATE: {item!r}")
+            raise InputError(f"sample must look like PROGRAM@STATE: {item!r}")
         samples.append((parse(text), parse_tape(literal)))
     report = check_interpreter(x, samples=samples)
     record = report_record(report)
@@ -136,7 +140,7 @@ def _cmd_check_interpreter(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if not 1 <= args.max_len <= 5:
-        raise ValueError("sweep enumeration is guarded at 1 <= --max-len <= 5")
+        raise InputError("sweep enumeration is guarded at 1 <= --max-len <= 5")
     if args.suite == "dup-decider":
         result = sweep_dup_decider(args.max_len)
         bad = result["disagree"]
@@ -229,14 +233,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # Every usage and parse error is a ValueError; anything else is a bug.
+    # Every rejected input raises InputError; any other exception is a bug.
     # It exits 3, so that it is read neither as a usage error (2) nor as a
     # domain negative (1, the code an uncaught exception would give).
     try:
-        return args.func(args)
-    except ValueError as error:
+        code = args.func(args)
+        # Flush here, so a closed stdout is met inside this handler.
+        sys.stdout.flush()
+        return code
+    except InputError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader stopped reading (``| head``).  Point stdout at devnull
+        # so the interpreter's final flush stays silent, and exit as SIGPIPE
+        # would have ended the process.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
     except Exception:
         traceback.print_exc()
         return 3

@@ -44,6 +44,7 @@ from .program import (
     FOCUS,
     BasicInstruction,
     FwdJump,
+    InputError,
     Plain,
     Program,
     TERM_FALSE,
@@ -67,22 +68,6 @@ from .units import (
 )
 
 
-class NotDupProgramError(ValueError):
-    pass
-
-
-class NotHaltingProgramError(ValueError):
-    pass
-
-
-class PositionOutOfRangeError(ValueError):
-    pass
-
-
-class HypothesisViolationError(ValueError):
-    pass
-
-
 # --- termination-behaviour transforms -------------------------------------
 
 
@@ -104,10 +89,10 @@ def f2d(x: Program) -> Program:
     return Program(tuple(FwdJump(0) if isinstance(u, TermFalse) else u for u in x))
 
 
-def _check_single_method(x: Program, method: str, error: type) -> None:
+def _check_single_method(x: Program, method: str) -> None:
     action = foreign_action(x, (method,))
     if action is not None:
-        raise error(f"{action} is not {FOCUS}.{method}")
+        raise InputError(f"{action} is not {FOCUS}.{method}")
 
 
 # --- halting over the duplication unit (decidable) -------------------------
@@ -122,7 +107,7 @@ def decide_halting_dup(x: Program) -> bool:
     negative tests skip one).  The answer does not depend on the tape
     state, so none is taken.
     """
-    _check_single_method(x, "dup", NotDupProgramError)
+    _check_single_method(x, "dup")
     return _halts(x, True, True)
 
 
@@ -133,10 +118,10 @@ def leads_to_first_application(x: Program, i: int) -> bool:
     """Whether the occurrence at position i is the first basic
     instruction execution reaches (by jump chasing from position 1)."""
     if not 1 <= i <= len(x):
-        raise PositionOutOfRangeError(f"position {i} not in 1..{len(x)}")
+        raise InputError(f"position {i} not in 1..{len(x)}")
     # Jump chasing stays where it starts exactly on a basic instruction.
     if _resolve(x, i) != i:
-        raise ValueError(f"position {i} holds no basic instruction")
+        raise InputError(f"position {i} holds no basic instruction")
     return _resolve(x, 1) == i
 
 
@@ -149,7 +134,7 @@ def decide_halting_empty_ext(x: Program, state: TapeState) -> bool:
     halting is the finite walk over positions with the first reply
     taken from the state and every later reply False.
     """
-    _check_single_method(x, "halting", NotHaltingProgramError)
+    _check_single_method(x, "halting")
     return _halts(x, _halting_reply(state.content), False)
 
 
@@ -220,10 +205,10 @@ def validate_solver(x: Program, form: str = "first") -> SolverVerdict:
     runs are total, so a NotRefuted verdict means the candidate answered
     its own diagonal correctly; ``steps`` counts both runs.
     """
-    _check_single_method(x, "dup", HypothesisViolationError)
+    _check_single_method(x, "dup")
     builder = {"first": diag_solver, "second": diag_solver_alt}.get(form)
     if builder is None:
-        raise ValueError(f"form must be 'first' or 'second', not {form!r}")
+        raise InputError(f"form must be 'first' or 'second', not {form!r}")
     y = builder(x)
     ybar = encode(y)
     diagonal_state = at_left(f"{ybar}:{ybar}")
@@ -241,7 +226,7 @@ def validate_solver(x: Program, form: str = "first") -> SolverVerdict:
 def replay_verdict(x: Program, verdict: SolverVerdict) -> bool:
     """Re-run the evaluator on a verdict's witness and confirm the
     recorded discrepancy reappears."""
-    _check_single_method(x, "dup", HypothesisViolationError)
+    _check_single_method(x, "dup")
     if isinstance(verdict, NotRefuted):
         return True
     if isinstance(verdict, RefutedByDivergence):
@@ -333,10 +318,10 @@ def check_interpreter(
     deliver the same reply.  The diagonal probe uses y0 = f.dup;swap(x)
     on its own encoding; a candidate passes only if every check agrees.
     """
-    _check_single_method(x, "dup", HypothesisViolationError)
+    _check_single_method(x, "dup")
     checks = []
     for y, v in samples:
-        _check_single_method(y, "dup", HypothesisViolationError)
+        _check_single_method(y, "dup")
         checks.append(_check_sample(x, y, v.content))
     y0 = diag_interpreter(x)
     diagonal = _check_sample(x, y0, encode(y0))

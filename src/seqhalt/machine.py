@@ -26,7 +26,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Union
 
-from .program import FOCUS, BasicInstruction, Program, _Sentinel, foreign_action
+from .program import FOCUS, BasicInstruction, InputError, Program, _Sentinel, foreign_action
 from .services import (
     Reply,
     Service,
@@ -138,7 +138,7 @@ def run(
     ``pc=<node> action=<action> reply=<T|F> state=<family literal>``.
     """
     if fuel < 1:
-        raise ValueError("fuel must be at least 1")
+        raise InputError("fuel must be at least 1")
     return _step_loop(_as_thread(x), family, fuel, trace, family_key)
 
 
@@ -156,7 +156,7 @@ def run_total(x: Program | RegularThread, family: ServiceFamily) -> Outcome:
             if isinstance(service, UnitService):
                 op = service.unit.operations.get(node.action.method)
                 if op is not None and op.constant_reply is None:
-                    raise ValueError(
+                    raise InputError(
                         f"{node.action} has no declared constant reply; use run()"
                     )
     # The configuration is the node only.  A run without repeated nodes
@@ -215,14 +215,6 @@ UNDEFINED = _Sentinel("UNDEFINED")
 UNKNOWN = _Sentinel("UNKNOWN")
 
 
-class WrongFocusError(ValueError):
-    pass
-
-
-class UnknownMethodError(ValueError):
-    pass
-
-
 def derived_operation(
     x: Program,
     unit: FunctionalUnit,
@@ -236,10 +228,12 @@ def derived_operation(
     divergence, UNKNOWN when the fuel runs out first.
     """
     action = foreign_action(x, interface(unit))
-    if action is not None and action.focus != FOCUS:
-        raise WrongFocusError(f"{action} does not use focus {FOCUS!r}")
     if action is not None:
-        raise UnknownMethodError(f"{action.method!r} not in interface of {unit.name}")
+        raise InputError(
+            f"{action} does not use focus {FOCUS!r}"
+            if action.focus != FOCUS
+            else f"{action.method!r} not in interface of {unit.name}"
+        )
     thread = extract(x)
 
     def evaluate(state: Any) -> Applied | _Sentinel:

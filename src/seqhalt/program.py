@@ -32,16 +32,18 @@ _METHOD_RE = re.compile(r"[a-z][a-z0-9]*(?::[a-z0-9]+)*\Z")
 _COUNT_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")
 
 
-class ProgramSyntaxError(ValueError):
+class InputError(ValueError):
+    """The caller's input was rejected: malformed text, a value out of
+    range, or a program outside the class an operation is defined for.
+    The CLI reports it as a usage error; any other exception is a bug."""
+
+
+class ProgramSyntaxError(InputError):
     """Malformed program text; ``position`` is the 0-based character offset."""
 
     def __init__(self, message: str, position: int = 0):
         super().__init__(f"{message} (at character {position})")
         self.position = position
-
-
-class EmptyProgramError(ProgramSyntaxError):
-    """Program text contains no instructions."""
 
 
 @dataclass(frozen=True)
@@ -51,9 +53,9 @@ class BasicInstruction:
 
     def __post_init__(self):
         if not _FOCUS_RE.match(self.focus):
-            raise ValueError(f"bad focus {self.focus!r}")
+            raise InputError(f"bad focus {self.focus!r}")
         if not _METHOD_RE.match(self.method):
-            raise ValueError(f"bad method name {self.method!r}")
+            raise InputError(f"bad method name {self.method!r}")
 
     def __str__(self) -> str:
         return f"{self.focus}.{self.method}"
@@ -80,7 +82,7 @@ class FwdJump:
 
     def __post_init__(self):
         if self.offset < 0:
-            raise ValueError("jump counter must be a natural number")
+            raise InputError("jump counter must be a natural number")
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ class BwdJump:
 
     def __post_init__(self):
         if self.offset < 0:
-            raise ValueError("jump counter must be a natural number")
+            raise InputError("jump counter must be a natural number")
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ class Program:
 
     def __post_init__(self):
         if not self.instructions:
-            raise EmptyProgramError("program has no instructions")
+            raise ProgramSyntaxError("program has no instructions")
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -201,7 +203,7 @@ def parse(text: str) -> Program:
     """Parse canonical program text; inverse of :func:`render`."""
     body = text.strip()
     if not body:
-        raise EmptyProgramError("program has no instructions")
+        raise ProgramSyntaxError("program has no instructions")
     instructions = []
     offset = 0
     for token in body.split(";"):
@@ -262,24 +264,15 @@ def instruction_alphabet(
     return letters
 
 
-def enumerate_programs(
-    methods: Iterable[str],
-    max_len: int,
-    *,
-    fwd_offsets: Sequence[int] | None = None,
-    bwd_offsets: Sequence[int] | None = None,
-) -> Iterator[Program]:
+def enumerate_programs(methods: Iterable[str], max_len: int) -> Iterator[Program]:
     """All programs over the given methods on ``FOCUS``, lengths 1..max_len.
 
-    Jump counters default to 0..max_len+1; larger counters behave like an
-    out-of-range jump of that direction, so the default range covers every
+    Jump counters run over 0..max_len+1; larger counters behave like an
+    out-of-range jump of that direction, so this range covers every
     semantically distinct instruction at these lengths.
     """
-    if fwd_offsets is None:
-        fwd_offsets = range(max_len + 2)
-    if bwd_offsets is None:
-        bwd_offsets = range(max_len + 2)
-    letters = instruction_alphabet(methods, fwd_offsets=fwd_offsets, bwd_offsets=bwd_offsets)
+    offsets = range(max_len + 2)
+    letters = instruction_alphabet(methods, fwd_offsets=offsets, bwd_offsets=offsets)
     for k in range(1, max_len + 1):
         for combo in itertools.product(letters, repeat=k):
             yield Program(combo)

@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Union
 
-from .program import _FOCUS_RE
+from .program import _FOCUS_RE, InputError
 from .units import FunctionalUnit, unit_by_name
 
 
@@ -62,7 +62,7 @@ def empty_family() -> ServiceFamily:
 
 def singleton_family(focus: str, service: Service) -> ServiceFamily:
     if not _FOCUS_RE.match(focus):
-        raise ValueError(f"bad focus {focus!r}")
+        raise InputError(f"bad focus {focus!r}")
     return ServiceFamily({focus: service})
 
 
@@ -112,15 +112,15 @@ def parse_family(text: str) -> ServiceFamily:
     for part in text.split(","):
         focus, eq, rest = part.partition("=")
         if not eq or not _FOCUS_RE.match(focus):
-            raise ValueError(f"bad family entry {part!r}")
+            raise InputError(f"bad family entry {part!r}")
         if focus in entries:
-            raise ValueError(f"duplicate focus {focus!r}")
+            raise InputError(f"duplicate focus {focus!r}")
         if rest == "empty":
             entries[focus] = EMPTY_SERVICE
             continue
         unit_name, colon, state_literal = rest.partition(":")
         if not colon:
-            raise ValueError(f"bad family entry {part!r} (want focus=unit:state)")
+            raise InputError(f"bad family entry {part!r} (want focus=unit:state)")
         unit = unit_by_name(unit_name)
         entries[focus] = UnitService(unit, unit.parse_state(state_literal))
     return ServiceFamily(entries)

@@ -26,6 +26,7 @@ from .program import (
     BasicInstruction,
     BwdJump,
     FwdJump,
+    InputError,
     NegTest,
     PosTest,
     Program,
@@ -89,12 +90,12 @@ class RegularThread:
 
     def __post_init__(self):
         if self.root not in self.nodes:
-            raise ValueError(f"root {self.root!r} is not a node")
+            raise InputError(f"root {self.root!r} is not a node")
         for ref, node in self.nodes.items():
             if isinstance(node, PostCond):
                 for target in (node.then_ref, node.else_ref):
                     if target not in self.nodes:
-                        raise ValueError(f"node {ref!r} references missing {target!r}")
+                        raise InputError(f"node {ref!r} references missing {target!r}")
 
 
 def constant_thread(node: ThreadNode) -> RegularThread:
@@ -197,7 +198,7 @@ def project(depth: int, t: RegularThread | FiniteThread) -> FiniteThread:
     normalised so the else branch equals the then branch).
     """
     if depth < 0:
-        raise ValueError("depth must be a natural number")
+        raise InputError("depth must be a natural number")
     if isinstance(t, RegularThread):
         # One depth at a time over all nodes: no recursion, whatever the
         # depth, and every node's subtree is built once and shared.
@@ -250,7 +251,7 @@ def projections_agree(t1: RegularThread, t2: RegularThread, depth: int) -> bool:
     Computed without materialising the trees (they grow exponentially).
     """
     if depth < 0:
-        raise ValueError("depth must be a natural number")
+        raise InputError("depth must be a natural number")
     first = _first_disagreement(t1, t2)
     return first is None or first > depth
 

@@ -26,6 +26,7 @@ from .program import (
     _COUNT_RE,
     FOCUS,
     NOT_AN_ENCODING,
+    InputError,
     Program,
     decode,
     foreign_action,
@@ -47,7 +48,7 @@ class TapeState:
     def __post_init__(self):
         for part in (self.left, self.right):
             if not set(part) <= TAPE_ALPHABET:
-                raise ValueError(f"tape symbols must be 0, 1 or ':': {part!r}")
+                raise InputError(f"tape symbols must be 0, 1 or ':': {part!r}")
 
     @property
     def content(self) -> str:
@@ -69,7 +70,7 @@ def format_tape(state: TapeState) -> str:
 def parse_tape(text: str) -> TapeState:
     left, bar, right = text.partition("|")
     if not bar:
-        raise ValueError(f"tape literal needs a head marker '|': {text!r}")
+        raise InputError(f"tape literal needs a head marker '|': {text!r}")
     return TapeState(left, right)
 
 
@@ -97,7 +98,7 @@ class FunctionalUnit:
     def __post_init__(self):
         for key, op in self.operations.items():
             if key != op.name:
-                raise ValueError(f"operation {op.name!r} registered under {key!r}")
+                raise InputError(f"operation {op.name!r} registered under {key!r}")
 
 
 def interface(unit: FunctionalUnit) -> frozenset[str]:
@@ -106,7 +107,7 @@ def interface(unit: FunctionalUnit) -> frozenset[str]:
 
 def _parse_counter(text: str) -> int:
     if not _COUNT_RE.match(text):
-        raise ValueError(f"counter state must be a natural number: {text!r}")
+        raise InputError(f"counter state must be a natural number: {text!r}")
     return int(text)
 
 
@@ -256,7 +257,7 @@ def unit_by_name(name: str) -> FunctionalUnit:
         return _DUP
     if name == "halting-empty":
         return _HALTING_EMPTY
-    raise ValueError(f"unknown unit {name!r}")
+    raise InputError(f"unknown unit {name!r}")
 
 
 # --- duplication as a derived operation of the tape-basic unit ------------
@@ -283,8 +284,9 @@ def _assemble(items: list[str]) -> Program:
     for pc, token in enumerate(tokens, 1):
         if token.startswith("goto "):
             target = positions[token[5:]]
+            # The witness text is fixed, so only a bug in it jumps to itself.
             if target == pc:
-                raise ValueError(f"self-jump at {token[5:]!r}")
+                raise AssertionError(f"self-jump at {token[5:]!r}")
             tokens[pc - 1] = f"#{target - pc}" if target > pc else f"\\#{pc - target}"
     return parse(";".join(tokens))
 

@@ -1,10 +1,14 @@
 import hashlib
 import io
 import json
+import os
 import runpy
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqhalt import cli
@@ -30,13 +34,57 @@ def test_parse_error_exits_2(capsys):
     assert code == 2 and "error:" in err
 
 
-def test_internal_error_is_not_usage_error(monkeypatch, capsys):
+@pytest.mark.parametrize("error", [KeyError("bug"), ValueError("bug")], ids=["KeyError", "ValueError"])
+def test_internal_error_is_not_usage_error(monkeypatch, capsys, error):
     def broken(x):
-        raise KeyError("bug")
+        raise error
 
     monkeypatch.setattr(cli, "encode", broken)
     code, _, err = invoke(capsys, "encode", "!t")
-    assert code == 3 and "KeyError: 'bug'" in err
+    assert code == 3 and err.endswith(f"{type(error).__name__}: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decide", "--unit", "dup", "f.mvl", "|"], "f.mvl is not f.dup"),
+        (["run", "!t", "f=counter:x"], "counter state must be a natural number: 'x'"),
+        (["run", "!t", "f=dup:|2"], "tape symbols must be 0, 1 or ':': '2'"),
+        (["run", "--fuel", "0", "!t", "f=counter:0"], "fuel must be at least 1"),
+        (["sweep", "--suite", "diagonal", "--max-len", "0"], "sweep enumeration is guarded at 1 <= --max-len <= 5"),
+        (["validate-solver", "g.dup;!t"], "g.dup is not f.dup"),
+    ],
+)
+def test_input_errors_exit_2(capsys, argv, message):
+    assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+CLI = [sys.executable, "-m", "seqhalt.cli"]
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+
+def test_closed_stdout_exits_as_sigpipe():
+    """A reader that stops early (``| head -1``) ends the run with the
+    SIGPIPE status, 141, and nothing on stderr."""
+    argv = [*CLI, "run", "f.succ;\\#1", "f=counter:0", "--fuel", "100000", "--trace"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV) as proc:
+        assert proc.stdout.readline().startswith(b"pc=1 ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_unread_buffered_stdout_exits_as_sigpipe():
+    """Output that is still buffered when the command ends meets the
+    closed pipe in main too, not in the interpreter's final flush."""
+    env = {key: value for key, value in CLI_ENV.items() if key != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([*CLI, "encode", "!t"], stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_run_converged(capsys):
@@ -222,7 +270,7 @@ st_family = st.one_of(
 st_argv = st.one_of(
     st.tuples(st.just(["parse"]), st.tuples(st_program_text())),
     st.tuples(
-        st.tuples(st.integers(0, 300), st.sampled_from([[], ["--trace"]])).map(lambda a: ["run", f"--fuel={a[0]}", *a[1]]),
+        st.tuples(st.integers(-2, 300), st.sampled_from([[], ["--trace"]])).map(lambda a: ["run", f"--fuel={a[0]}", *a[1]]),
         st.tuples(st_program_text(), st_family),
     ),
     st.tuples(
@@ -254,6 +302,12 @@ st_argv = st.one_of(
             lambda samples: ["check-interpreter", *(f"--sample={p}@{t}" for p, t in samples)]
         ),
         st.tuples(st_program_text(_DUP_LETTERS)),
+    ),
+    st.tuples(
+        st.tuples(st.sampled_from(["dup-decider", "empty-halting", "diagonal"]), st.sampled_from([-1, 0, 1, 6])).map(
+            lambda a: ["sweep", f"--suite={a[0]}", f"--max-len={a[1]}"]
+        ),
+        st.just(()),
     ),
 )
 st_cli_line = st.tuples(st_argv, st.booleans()).map(

@@ -7,14 +7,10 @@ from hypothesis import strategies as st
 from conftest import random_program, st_program
 from seqhalt import halting
 from seqhalt.machine import Converged, FuelExhausted, ProvenDivergent, run
-from seqhalt.program import Program, TermFalse, TermTrue, encode, enumerate_programs, parse, render
+from seqhalt.program import InputError, Program, TermFalse, TermTrue, encode, enumerate_programs, parse, render
 from seqhalt.services import Reply, UnitService, singleton_family
 from seqhalt.halting import (
-    HypothesisViolationError,
-    NotDupProgramError,
-    NotHaltingProgramError,
     NotRefuted,
-    PositionOutOfRangeError,
     RefutedByDivergence,
     RefutedByWrongReply,
     check_interpreter,
@@ -95,9 +91,9 @@ class TestDupDecider:
         assert decide_halting_dup(parse("+f.dup;!f")) is True
 
     def test_rejects_foreign_programs(self):
-        with pytest.raises(NotDupProgramError):
+        with pytest.raises(InputError, match="^f.mvl is not f.dup$"):
             decide_halting_dup(parse("f.mvl;!t"))
-        with pytest.raises(NotDupProgramError):
+        with pytest.raises(InputError, match="^g.dup is not f.dup$"):
             decide_halting_dup(parse("g.dup;!t"))
 
 
@@ -117,9 +113,9 @@ class TestLeadsToFirstApplication:
         assert leads_to_first_application(x, 2) is False
 
     def test_range_checked(self):
-        with pytest.raises(PositionOutOfRangeError):
+        with pytest.raises(InputError, match=r"^position 2 not in 1\.\.1$"):
             leads_to_first_application(parse("!t"), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^position 1 holds no basic instruction$"):
             leads_to_first_application(parse("#1;!t"), 1)
 
 
@@ -199,7 +195,7 @@ class TestEmptyExtDecider:
         from seqhalt.program import enumerate_programs
 
         word = encode(parse("!t")) + ":"
-        for y in enumerate_programs({"halting"}, 2, fwd_offsets=range(4), bwd_offsets=range(4)):
+        for y in enumerate_programs({"halting"}, 2):
             decided = decide_halting_empty_ext(y, at_left(word))
             out = run(y, halting_family(word), 1000)
             assert not isinstance(out, FuelExhausted)
@@ -214,7 +210,7 @@ class TestEmptyExtDecider:
         assert isinstance(out, Converged) and out.reply is False
 
     def test_rejects_foreign_programs(self):
-        with pytest.raises(NotHaltingProgramError):
+        with pytest.raises(InputError, match="^f.dup is not f.halting$"):
             decide_halting_empty_ext(parse("f.dup;!t"), at_left(""))
 
     def test_agrees_with_bounded_evaluation(self):
@@ -380,15 +376,15 @@ class TestValidateSolver:
 
     def test_hypothesis_violations(self):
         for candidate in ("f.mvl;!t", "g.dup;!t"):
-            with pytest.raises(HypothesisViolationError):
+            with pytest.raises(InputError, match=f"^{candidate[:5]} is not f.dup$"):
                 validate_solver(parse(candidate))
 
     def test_unknown_form_is_a_usage_error(self):
-        with pytest.raises(ValueError, match="first.*second"):
+        with pytest.raises(InputError, match="first.*second"):
             validate_solver(parse("!t"), form="third")
 
     def test_replay_checks_hypothesis(self):
-        with pytest.raises(HypothesisViolationError):
+        with pytest.raises(InputError, match="^f.mvl is not f.dup$"):
             replay_verdict(parse("f.mvl;!t"), validate_solver(parse("!t")))
 
     def test_record_fields(self):
@@ -428,12 +424,12 @@ class TestCheckInterpreter:
         assert [c.status for c in report.samples] == ["skipped-divergent"] * 2
 
     def test_foreign_focus_candidate_rejected(self):
-        with pytest.raises(HypothesisViolationError):
+        with pytest.raises(InputError, match="^g.dup is not f.dup$"):
             check_interpreter(parse("g.dup;!t;!f"))
 
     def test_sample_methods_validated(self):
         for sample in ("f.mvl;!t", "g.dup;!t"):
-            with pytest.raises(HypothesisViolationError):
+            with pytest.raises(InputError, match=f"^{sample[:5]} is not f.dup$"):
                 check_interpreter(parse("!t"), samples=[(parse(sample), at_left(""))])
 
 

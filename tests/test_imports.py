@@ -159,7 +159,7 @@ def settable_values(tree: ast.Module) -> int:
 def test_settable_values():
     # Each new default is one more value that tests and benchmarks must
     # cover; raise this count only with a caller that needs the value.
-    assert sum(settable_values(ast.parse(p.read_text())) for p in SOURCES) == 11
+    assert sum(settable_values(ast.parse(p.read_text())) for p in SOURCES) == 9
 
 
 def test_settable_value_is_counted():
@@ -168,3 +168,30 @@ def test_settable_value_is_counted():
         "class D:\n    def e(self, x=0): pass\ndef f(x):\n    def g(y=0): pass\n"
     )
     assert settable_values(tree) == 3
+
+
+def bare_value_errors(tree: ast.Module) -> list[int]:
+    """Lines that raise ``ValueError`` itself, called or not."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_bare_value_error(path):
+    # A rejected input raises InputError, the one type the CLI maps to a
+    # usage error; a bare ValueError would be reported as a bug.
+    assert bare_value_errors(ast.parse(path.read_text())) == []
+
+
+def test_bare_value_error_is_found():
+    tree = ast.parse(
+        "class InputError(ValueError): pass\n"
+        "def a(): raise ValueError\ndef b(): raise ValueError('x')\n"
+        "def c(): raise InputError('x')\ndef d():\n    try: pass\n    except ValueError: raise\n"
+    )
+    assert bare_value_errors(tree) == [2, 3]

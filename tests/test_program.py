@@ -4,7 +4,6 @@ from hypothesis import given
 from conftest import st_program
 from seqhalt.program import (
     BwdJump,
-    EmptyProgramError,
     FwdJump,
     NOT_AN_ENCODING,
     NegTest,
@@ -45,7 +44,7 @@ def test_parse_rejects_empty_slot_with_position():
 
 
 def test_parse_rejects_empty_program():
-    with pytest.raises(EmptyProgramError):
+    with pytest.raises(ProgramSyntaxError, match="program has no instructions"):
         parse("   ")
 
 
@@ -75,7 +74,7 @@ def test_encode_term_true_bits():
 
 def test_encode_injective_on_enumerated_set():
     seen = {}
-    for x in enumerate_programs({"dup"}, 2, fwd_offsets=(0, 1), bwd_offsets=(1,)):
+    for x in enumerate_programs({"dup"}, 2):
         bits = encode(x)
         assert bits not in seen, (x, seen[bits])
         seen[bits] = x
@@ -114,11 +113,11 @@ def test_program_positions_are_one_based():
 
 
 def test_empty_construction_rejected():
-    with pytest.raises(EmptyProgramError):
+    with pytest.raises(ProgramSyntaxError, match="program has no instructions"):
         Program(())
 
 
 def test_enumerate_counts():
-    # 3 basic forms + 2 terminators + 2 jumps of each kind at offsets 0..1
-    programs = list(enumerate_programs({"dup"}, 2, fwd_offsets=(0, 1), bwd_offsets=(0, 1)))
-    assert len(programs) == 9 + 9 * 9
+    # 3 basic forms + 2 terminators + 4 jumps of each kind at offsets 0..3
+    programs = list(enumerate_programs({"dup"}, 2))
+    assert len(programs) == 13 + 13 * 13

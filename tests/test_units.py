@@ -9,11 +9,9 @@ from seqhalt.machine import (
     UNDEFINED,
     UNKNOWN,
     Applied,
-    UnknownMethodError,
-    WrongFocusError,
     derived_operation,
 )
-from seqhalt.program import parse
+from seqhalt.program import InputError, parse
 from seqhalt.units import (
     TapeState,
     at_left,
@@ -165,11 +163,11 @@ class TestDerivedOperation:
         assert evaluate(at_left("1")) is UNKNOWN
 
     def test_wrong_focus_rejected(self):
-        with pytest.raises(WrongFocusError):
+        with pytest.raises(InputError, match="^g.dup does not use focus 'f'$"):
             derived_operation(parse("g.dup;!t"), dup_unit())
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(UnknownMethodError):
+        with pytest.raises(InputError, match="^'nope' not in interface of dup$"):
             derived_operation(parse("f.nope;!t"), dup_unit())
 
 
