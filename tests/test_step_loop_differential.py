@@ -1,0 +1,136 @@
+"""``run`` and ``run_total`` agree with the frozen original step loop on
+random programs, threads, families and fuels: outcome, steps, cause,
+final family and trace lines."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import frozen_machine
+from conftest import random_thread
+from seqhalt.machine import run, run_total
+from seqhalt.program import (
+    TERM_FALSE,
+    TERM_TRUE,
+    BasicInstruction,
+    BwdJump,
+    FwdJump,
+    InputError,
+    NegTest,
+    Plain,
+    PosTest,
+    Program,
+)
+from seqhalt.services import EMPTY_SERVICE, ServiceFamily, UnitService
+from seqhalt.threads import TAU, extract
+from seqhalt.units import (
+    TapeState,
+    counter_unit,
+    dup_unit,
+    halting_empty_unit,
+    interface,
+    tape_basic_unit,
+)
+
+METHODS = (
+    "setzero", "succ", "pred", "iszero",
+    "mvl", "mvr", "test:0", "test:1", "test:colon", "test:end",
+    "write:0", "write:1", "write:colon", "delete",
+    "dup", "halting",
+)
+CONSTANT_METHODS = ("setzero", "succ", "write:0", "write:1", "write:colon", "dup")
+
+st_tape = st.builds(TapeState, st.text("01:", max_size=3), st.text("01:", max_size=3))
+st_service = st.one_of(
+    st.builds(UnitService, st.just(counter_unit()), st.integers(0, 4)),
+    st.builds(UnitService, st.just(tape_basic_unit()), st_tape),
+    st.builds(UnitService, st.just(dup_unit()), st_tape),
+    st.builds(UnitService, st.just(halting_empty_unit()), st_tape),
+    st.just(EMPTY_SERVICE),
+    st.none(),  # the focus is absent from the family
+)
+st_family = st.tuples(st_service, st_service, st_service).filter(
+    lambda services: any(s is not None for s in services)
+).map(
+    lambda services: ServiceFamily(
+        {focus: s for focus, s in zip("fgh", services) if s is not None}
+    )
+)
+st_fuel = st.integers(1, 300)
+
+
+def st_program(family, methods=METHODS):
+    """Programs over foci f and g.  Most methods are drawn from the
+    interface of the unit at their focus, so that runs tend to get past
+    their first steps, and half the programs end with a jump back to
+    their first instruction, so that runs tend to loop."""
+
+    def st_method(focus):
+        service = family.entries.get(focus)
+        offered = interface(service.unit) if isinstance(service, UnitService) else ()
+        fitting = sorted(set(methods).intersection(offered)) or list(methods)
+        return st.one_of(st.sampled_from(fitting), st.sampled_from(fitting), st.sampled_from(methods))
+
+    basic = st.one_of(*(st.builds(BasicInstruction, st.just(f), st_method(f)) for f in "fg"))
+    instruction = st.one_of(
+        st.builds(Plain, basic),
+        st.builds(PosTest, basic),
+        st.builds(NegTest, basic),
+        st.builds(FwdJump, st.integers(1, 3)),
+        st.builds(BwdJump, st.integers(0, 3)),
+        st.sampled_from([TERM_TRUE, TERM_FALSE]),
+    )
+    return st.builds(
+        lambda items, loop: Program(tuple(items) + (BwdJump(len(items)),) * loop),
+        st.lists(instruction, min_size=1, max_size=8),
+        st.booleans(),
+    )
+
+
+st_thread = st.builds(
+    lambda seed: random_thread(
+        random.Random(seed),
+        actions=[BasicInstruction(f, m) for f in "fg" for m in ("succ", "pred", "mvr", "dup")] + [TAU],
+    ),
+    st.integers(0, 10**6),
+)
+
+
+def assert_run_matches(thread, family, fuel):
+    lines, reference_lines = [], []
+    outcome = run(thread, family, fuel, trace=lines.append)
+    assert outcome == frozen_machine.run(thread, family, fuel, trace=reference_lines.append)
+    assert lines == reference_lines
+
+
+def run_total_or_error(evaluate, thread, family):
+    try:
+        return evaluate(thread, family)
+    except InputError:
+        return InputError
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data(), st_fuel)
+def test_run_matches_reference(data, fuel):
+    family = data.draw(st_family)
+    assert_run_matches(extract(data.draw(st_program(family))), family, fuel)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st_thread, st_family, st_fuel)
+def test_run_matches_reference_on_threads_with_tau(thread, family, fuel):
+    assert_run_matches(thread, family, fuel)
+
+
+@pytest.mark.parametrize("methods", [METHODS, CONSTANT_METHODS], ids=["all", "constant"])
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_run_total_matches_reference(methods, data):
+    family = data.draw(st_family)
+    thread = extract(data.draw(st_program(family, methods)))
+    assert run_total_or_error(run_total, thread, family) == run_total_or_error(
+        frozen_machine.run_total, thread, family
+    )
