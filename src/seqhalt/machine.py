@@ -5,12 +5,14 @@ focus and follows the branch the reply selects.  Termination yields the
 delivered boolean and the final family.  Divergence is reported only
 when proven: deadlock, a missing focus, a Divergent reply, or a repeated
 configuration.  One step loop serves both evaluators; they differ only
-in the configuration key.  ``run`` keys on (node, family state), so
-loops that keep growing the state exhaust their fuel instead: the
-evaluator never claims a divergence it cannot prove.  ``run_total`` keys
-on the node only, which is sound when every reply involved has a
-declared state-independent value: each node then has a fixed successor,
-so revisiting one closes an infinite loop.
+in the configuration key.  A run never changes which unit a focus holds
+(a Divergent reply ends it), so the loop keeps only each unit's state.
+``run`` keys on the node plus those unit states, so loops that keep
+growing a state exhaust their fuel instead: the evaluator never claims
+a divergence it cannot prove.  ``run_total`` keys on the node only,
+which is sound when every reply involved has a declared
+state-independent value: each node then has a fixed successor, so
+revisiting one closes an infinite loop.
 
 A tau action is stepped like a basic one whose reply is always True,
 without touching a service.  ``run`` reports each step, as it happens,
@@ -24,21 +26,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Union
+from typing import Any, Callable, Mapping, Sequence, Union
 
 from .program import FOCUS, BasicInstruction, InputError, Program, _Sentinel, foreign_action
 from .services import (
     Reply,
-    Service,
     ServiceFamily,
     UnitService,
+    _unit_step,
     empty_family,
-    family_key,
     format_family,
-    service_step,
     singleton_family,
 )
-from .threads import PostCond, RegularThread, StopFalse, StopTrue, Tau, extract
+from .threads import PostCond, RegularThread, StopFalse, StopTrue, Tau, ThreadNode, extract
 from .units import FunctionalUnit, interface
 
 DEFAULT_FUEL = 10**6
@@ -79,50 +79,106 @@ def _as_thread(x: Program | RegularThread) -> RegularThread:
     return x if isinstance(x, RegularThread) else extract(x)
 
 
+# What the step loop does on reaching a node, resolved once per run.  The
+# first four kinds pass the configuration and fuel checks first; the last
+# three end the run before them.
+_STEP, _TAU, _MISSING_FOCUS, _REPLY_D, _STOP_TRUE, _STOP_FALSE, _DEADLOCK = range(7)
+
+
+def _resolve_node(
+    node: ThreadNode, slots: Mapping[str, int | None], units: Sequence[FunctionalUnit]
+) -> tuple:
+    """``(kind, slot, step, then_ref, else_ref)`` of a node, given the slot
+    of each focus (None for the empty service) and the unit in each slot."""
+    if isinstance(node, StopTrue):
+        return _STOP_TRUE, None, None, None, None
+    if isinstance(node, StopFalse):
+        return _STOP_FALSE, None, None, None, None
+    if not isinstance(node, PostCond):
+        return _DEADLOCK, None, None, None, None
+    action = node.action
+    if isinstance(action, Tau):
+        return _TAU, None, None, node.then_ref, node.else_ref
+    if action.focus not in slots:
+        return _MISSING_FOCUS, None, None, None, None
+    slot = slots[action.focus]
+    step = None if slot is None else _unit_step(units[slot], action.method)
+    if step is None:
+        return _REPLY_D, None, None, None, None
+    return _STEP, slot, step, node.then_ref, node.else_ref
+
+
+def _family(family: ServiceFamily, slots: Mapping[str, int | None], states: Sequence[Any]) -> ServiceFamily:
+    """``family`` with each unit's state taken from its slot."""
+    return ServiceFamily(
+        {
+            focus: service if slots[focus] is None else UnitService(service.unit, states[slots[focus]])
+            for focus, service in family.entries.items()
+        }
+    )
+
+
 def _step_loop(
     thread: RegularThread,
     family: ServiceFamily,
     fuel: float,
     trace: Callable[[str], None] | None,
-    state_key: Callable[[dict[str, Service]], Hashable],
+    keyed: bool,
 ) -> Outcome:
-    """The step loop of both evaluators.  A configuration is the current
-    node paired with ``state_key`` of the family's entries; a repeated
-    configuration proves a cycle."""
-    entries = dict(family.entries)
+    """The step loop of both evaluators.
+
+    Each focus holding a unit gets a slot with that unit's state; the
+    units stay fixed for the run, since a Divergent reply ends it.  A
+    configuration is the node plus every slot's state when ``keyed``,
+    the node alone otherwise; a repeated configuration proves a cycle.
+    Each visited node is resolved to its slot and step function once.
+    """
+    slots: dict[str, int | None] = {}
+    units: list[FunctionalUnit] = []
+    states: list[Any] = []
+    for focus, service in family.entries.items():
+        if isinstance(service, UnitService):
+            slots[focus] = len(states)
+            units.append(service.unit)
+            states.append(service.state)
+        else:
+            slots[focus] = None
+    nodes = thread.nodes
+    resolved: dict = {}
     current = thread.root
     steps = 0
+    # One configuration per step taken, so a step whose configuration
+    # was seen before leaves the set's size at ``steps``.
     seen: set = set()
     while True:
-        node = thread.nodes[current]
-        if isinstance(node, StopTrue):
-            return Converged(True, ServiceFamily(entries), steps)
-        if isinstance(node, StopFalse):
-            return Converged(False, ServiceFamily(entries), steps)
-        if not isinstance(node, PostCond):
-            return ProvenDivergent(DivergenceCause.DEADLOCK, steps)
-        configuration = (current, state_key(entries))
-        if configuration in seen:
+        entry = resolved.get(current)
+        if entry is None:
+            entry = resolved[current] = _resolve_node(nodes[current], slots, units)
+        kind, slot, step, then_ref, else_ref = entry
+        if kind >= _STOP_TRUE:
+            if kind == _DEADLOCK:
+                return ProvenDivergent(DivergenceCause.DEADLOCK, steps)
+            return Converged(kind == _STOP_TRUE, _family(family, slots, states), steps)
+        seen.add((current, *states) if keyed else current)
+        if len(seen) == steps:
             return ProvenDivergent(DivergenceCause.CYCLE, steps)
         if steps >= fuel:
             return FuelExhausted(steps)
-        seen.add(configuration)
-        action = node.action
-        if isinstance(action, Tau):
-            reply = Reply.TRUE
+        if kind == _STEP:
+            reply, states[slot] = step(states[slot])
+        elif kind == _TAU:
+            reply = True
+        elif kind == _MISSING_FOCUS:
+            return ProvenDivergent(DivergenceCause.MISSING_FOCUS, steps)
         else:
-            focus = action.focus
-            service = entries.get(focus)
-            if service is None:
-                return ProvenDivergent(DivergenceCause.MISSING_FOCUS, steps)
-            reply, successor = service_step(service, action.method)
-            if reply is Reply.DIVERGENT:
-                return ProvenDivergent(DivergenceCause.REPLY_D, steps)
-            entries[focus] = successor
+            return ProvenDivergent(DivergenceCause.REPLY_D, steps)
         steps += 1
         if trace is not None:
-            trace(f"pc={current} action={action} reply={reply} state={format_family(entries)}")
-        current = node.then_ref if reply is Reply.TRUE else node.else_ref
+            trace(
+                f"pc={current} action={nodes[current].action} reply={Reply.from_bool(reply)} "
+                f"state={format_family(_family(family, slots, states))}"
+            )
+        current = then_ref if reply else else_ref
 
 
 def run(
@@ -137,9 +193,11 @@ def run(
     before the next step runs, with the line
     ``pc=<node> action=<action> reply=<T|F> state=<family literal>``.
     """
+    if not isinstance(fuel, int):
+        raise InputError(f"fuel must be an integer: {fuel!r}")
     if fuel < 1:
         raise InputError("fuel must be at least 1")
-    return _step_loop(_as_thread(x), family, fuel, trace, family_key)
+    return _step_loop(_as_thread(x), family, fuel, trace, keyed=True)
 
 
 def run_total(x: Program | RegularThread, family: ServiceFamily) -> Outcome:
@@ -161,7 +219,7 @@ def run_total(x: Program | RegularThread, family: ServiceFamily) -> Outcome:
                     )
     # The configuration is the node only.  A run without repeated nodes
     # takes fewer steps than the thread has nodes, so it needs no fuel.
-    return _step_loop(thread, family, float("inf"), None, lambda entries: None)
+    return _step_loop(thread, family, float("inf"), None, keyed=False)
 
 
 def reply(

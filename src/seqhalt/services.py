@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Union
+from typing import Any, Callable, Iterable, Mapping, Union
 
 from .program import _FOCUS_RE, InputError
 from .units import FunctionalUnit, unit_by_name
@@ -80,17 +80,31 @@ def encapsulate(foci: Iterable[str], c: ServiceFamily) -> ServiceFamily:
     return ServiceFamily({f: s for f, s in c.entries.items() if f not in hidden})
 
 
-def service_step(service: Service, method: str) -> tuple[Reply, Service]:
-    if isinstance(service, EmptyService):
-        return Reply.DIVERGENT, EMPTY_SERVICE
-    op = service.unit.operations.get(method)
+def _unit_step(unit: FunctionalUnit, method: str) -> Callable[[Any], tuple[bool, Any]] | None:
+    """The step function of ``unit``'s ``method``, None when the unit has
+    no such method.  A step whose operation declares a constant reply
+    checks every reply against it."""
+    op = unit.operations.get(method)
     if op is None:
+        return None
+    if op.constant_reply is None:
+        return op.step
+    step, constant = op.step, op.constant_reply
+
+    def checked(state: Any) -> tuple[bool, Any]:
+        reply, successor = step(state)
+        if reply != constant:
+            raise AssertionError(f"declared constant reply violated by {unit.name}.{method}")
+        return reply, successor
+
+    return checked
+
+
+def service_step(service: Service, method: str) -> tuple[Reply, Service]:
+    step = None if isinstance(service, EmptyService) else _unit_step(service.unit, method)
+    if step is None:
         return Reply.DIVERGENT, EMPTY_SERVICE
-    reply, state = op.step(service.state)
-    if op.constant_reply is not None and reply != op.constant_reply:
-        raise AssertionError(
-            f"declared constant reply violated by {service.unit.name}.{method}"
-        )
+    reply, state = step(service.state)
     return Reply.from_bool(reply), UnitService(service.unit, state)
 
 
@@ -125,10 +139,3 @@ def parse_family(text: str) -> ServiceFamily:
         entries[focus] = UnitService(unit, unit.parse_state(state_literal))
     return ServiceFamily(entries)
 
-
-def family_key(entries: Mapping[str, Service]):
-    """Hashable canonical form of a family's state, for cycle detection."""
-    return tuple(
-        (f, ("empty",) if isinstance(s, EmptyService) else (s.unit.name, s.state))
-        for f, s in sorted(entries.items())
-    )

@@ -5,7 +5,10 @@ functional unit is a finite, per-name-unique set of them.  Two state
 spaces are built in: the unbounded counter (naturals) and the tape-like
 space of strings over {0,1,:} split around a head position, written
 ``left|right`` (``|1:0`` means the head sits on the first symbol of
-``1:0`` with nothing to its left).
+``1:0`` with nothing to its left).  ``TapeState(...)``, ``at_left`` and
+``parse_tape`` reject other symbols; the tape operations build their
+successor states without that check, since they only move, copy or
+write symbols already on the tape or in the alphabet.
 
 The stock units are the four-operation counter, the single-operation
 duplication unit, the tape-basic unit whose operations are the
@@ -56,6 +59,16 @@ class TapeState:
 
     def __str__(self) -> str:
         return format_tape(self)
+
+
+def _tape(left: str, right: str) -> TapeState:
+    """A ``TapeState`` built without the symbol check, for the tape
+    operations: they only move, copy or write alphabet symbols."""
+    state = object.__new__(TapeState)
+    fields = state.__dict__
+    fields["left"] = left
+    fields["right"] = right
+    return state
 
 
 def at_left(word: str) -> TapeState:
@@ -133,7 +146,7 @@ def dup_step(state: TapeState) -> tuple[bool, TapeState]:
     content = state.content
     cut = content.find(":")
     block = content if cut < 0 else content[:cut]
-    return True, TapeState("", f"{block}:{content}")
+    return True, _tape("", f"{block}:{content}")
 
 
 _DUP = FunctionalUnit(
@@ -148,13 +161,13 @@ def dup_unit() -> FunctionalUnit:
 def _move_left(s: TapeState) -> tuple[bool, TapeState]:
     if not s.left:
         return False, s
-    return True, TapeState(s.left[:-1], s.left[-1] + s.right)
+    return True, _tape(s.left[:-1], s.left[-1] + s.right)
 
 
 def _move_right(s: TapeState) -> tuple[bool, TapeState]:
     if not s.right:
         return False, s
-    return True, TapeState(s.left + s.right[0], s.right[1:])
+    return True, _tape(s.left + s.right[0], s.right[1:])
 
 
 def _test(symbol: str) -> Callable[[TapeState], tuple[bool, TapeState]]:
@@ -171,7 +184,7 @@ def _test_end(s: TapeState) -> tuple[bool, TapeState]:
 def _write(symbol: str) -> Callable[[TapeState], tuple[bool, TapeState]]:
     def step(s: TapeState) -> tuple[bool, TapeState]:
         # Overwrites the symbol under the head, appends at the right end.
-        return True, TapeState(s.left, symbol + s.right[1:])
+        return True, _tape(s.left, symbol + s.right[1:])
 
     return step
 
@@ -179,7 +192,7 @@ def _write(symbol: str) -> Callable[[TapeState], tuple[bool, TapeState]]:
 def _delete(s: TapeState) -> tuple[bool, TapeState]:
     if not s.right:
         return False, s
-    return True, TapeState(s.left, s.right[1:])
+    return True, _tape(s.left, s.right[1:])
 
 
 def _tape_basic_ops() -> dict[str, MethodOperation]:
@@ -236,7 +249,7 @@ def _halting_reply(content: str) -> bool:
 def halting_op_step(state: TapeState) -> tuple[bool, TapeState]:
     """The halting oracle as a method operation: reply per
     ``_halting_reply`` on the tape content, and reset the tape to empty."""
-    return _halting_reply(state.content), TapeState("", "")
+    return _halting_reply(state.content), _tape("", "")
 
 
 _HALTING_EMPTY = FunctionalUnit(

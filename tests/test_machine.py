@@ -16,7 +16,7 @@ from seqhalt.machine import (
     run,
     run_total,
 )
-from seqhalt.program import parse
+from seqhalt.program import InputError, parse
 from seqhalt.services import Reply, UnitService, empty_family, singleton_family
 from seqhalt.threads import PostCond, RegularThread, STOP_TRUE, TAU
 from seqhalt.units import FunctionalUnit, MethodOperation, at_left, counter_unit, dup_unit
@@ -49,6 +49,12 @@ class TestRun:
     def test_growing_state_exhausts_fuel(self):
         out = run(parse("f.succ;\\#1"), counter_family(0), fuel=1000)
         assert out == FuelExhausted(1000)
+
+    @pytest.mark.parametrize("fuel", [0, 1.5, "5"])
+    def test_fuel_must_be_an_int_of_at_least_1(self, fuel):
+        with pytest.raises(InputError, match="^fuel must be"):
+            run(parse("f.succ;\\#1"), counter_family(0), fuel)
+        assert run(parse("f.succ;\\#1"), counter_family(0), 1) == FuelExhausted(1)
 
     def test_reply_true_into_missing_instruction_deadlocks(self):
         out = run(parse("-f.dup;!t"), dup_family("1"))

@@ -13,7 +13,6 @@ from seqhalt.services import (
     compose,
     empty_family,
     encapsulate,
-    family_key,
     format_family,
     parse_family,
     service_step,
@@ -128,10 +127,3 @@ def test_family_literal_rejects(text):
     with pytest.raises(ValueError):
         parse_family(text)
 
-
-def test_family_key_is_canonical():
-    a = ServiceFamily({"f": EMPTY_SERVICE, "g": UnitService(counter_unit(), 1)})
-    b = ServiceFamily({"g": UnitService(counter_unit(), 1), "f": EMPTY_SERVICE})
-    assert family_key(a.entries) == family_key(b.entries)
-    c = ServiceFamily({"f": EMPTY_SERVICE, "g": UnitService(counter_unit(), 2)})
-    assert family_key(a.entries) != family_key(c.entries)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from seqhalt.units import (
     dup_unit,
     dup_witness_program,
     format_tape,
+    halting_op_step,
     interface,
     parse_tape,
     tape_basic_unit,
@@ -81,8 +83,38 @@ class TestTapeState:
         assert format_tape(TapeState("1", ":0")) == "1|:0"
         with pytest.raises(ValueError):
             parse_tape("10")
-        with pytest.raises(ValueError):
-            TapeState("2", "")
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: TapeState("2", ""), lambda: TapeState("", "2"), lambda: at_left("0a"), lambda: parse_tape("1|x")],
+        ids=["left", "right", "at_left", "parse_tape"],
+    )
+    def test_rejects_foreign_symbols(self, build):
+        with pytest.raises(InputError, match="tape symbols must be 0, 1 or ':'"):
+            build()
+
+
+# Every tape state with up to 4 symbols, the head at each position.
+SMALL_TAPES = [
+    TapeState(word[:head], word[head:])
+    for size in range(5)
+    for word in map("".join, itertools.product("01:", repeat=size))
+    for head in range(size + 1)
+]
+
+
+@pytest.mark.parametrize(
+    "name, step",
+    [*((op.name, op.step) for op in tape_basic_unit().operations.values()), ("dup", dup_step), ("halting", halting_op_step)],
+)
+def test_tape_successors_equal_checked_states(name, step):
+    # The tape operations skip the symbol check; their successors must
+    # still be states the checked constructor accepts, equal and hashing
+    # alike.
+    for state in SMALL_TAPES:
+        _, successor = step(state)
+        checked = TapeState(successor.left, successor.right)
+        assert successor == checked and hash(successor) == hash(checked)
 
 
 class TestTapeBasic:
