@@ -31,6 +31,7 @@ from typing import Any, Callable, Mapping, Sequence, Union
 from .program import FOCUS, BasicInstruction, InputError, Program, _Sentinel, foreign_action
 from .services import (
     Reply,
+    Service,
     ServiceFamily,
     UnitService,
     _unit_step,
@@ -86,36 +87,34 @@ _STEP, _TAU, _MISSING_FOCUS, _REPLY_D, _STOP_TRUE, _STOP_FALSE, _DEADLOCK = rang
 
 
 def _resolve_node(
-    node: ThreadNode, slots: Mapping[str, int | None], units: Sequence[FunctionalUnit]
+    node: ThreadNode, entries: Mapping[str, Service], slots: Mapping[str, int]
 ) -> tuple:
-    """``(kind, slot, step, then_ref, else_ref)`` of a node, given the slot
-    of each focus (None for the empty service) and the unit in each slot."""
+    """``(kind, slot, step, then_ref, else_ref)`` of a node, given the
+    family's entries and the slot of each focus that holds a unit."""
+    if isinstance(node, PostCond):
+        action = node.action
+        if isinstance(action, Tau):
+            return _TAU, None, None, node.then_ref, node.else_ref
+        service = entries.get(action.focus)
+        if service is None:
+            return _MISSING_FOCUS, None, None, None, None
+        step = _unit_step(service.unit, action.method) if isinstance(service, UnitService) else None
+        if step is None:
+            return _REPLY_D, None, None, None, None
+        return _STEP, slots[action.focus], step, node.then_ref, node.else_ref
     if isinstance(node, StopTrue):
         return _STOP_TRUE, None, None, None, None
     if isinstance(node, StopFalse):
         return _STOP_FALSE, None, None, None, None
-    if not isinstance(node, PostCond):
-        return _DEADLOCK, None, None, None, None
-    action = node.action
-    if isinstance(action, Tau):
-        return _TAU, None, None, node.then_ref, node.else_ref
-    if action.focus not in slots:
-        return _MISSING_FOCUS, None, None, None, None
-    slot = slots[action.focus]
-    step = None if slot is None else _unit_step(units[slot], action.method)
-    if step is None:
-        return _REPLY_D, None, None, None, None
-    return _STEP, slot, step, node.then_ref, node.else_ref
+    return _DEADLOCK, None, None, None, None
 
 
-def _family(family: ServiceFamily, slots: Mapping[str, int | None], states: Sequence[Any]) -> ServiceFamily:
+def _family(family: ServiceFamily, slots: Mapping[str, int], states: Sequence[Any]) -> ServiceFamily:
     """``family`` with each unit's state taken from its slot."""
-    return ServiceFamily(
-        {
-            focus: service if slots[focus] is None else UnitService(service.unit, states[slots[focus]])
-            for focus, service in family.entries.items()
-        }
-    )
+    entries = dict(family.entries)
+    for focus, slot in slots.items():
+        entries[focus] = UnitService(entries[focus].unit, states[slot])
+    return ServiceFamily(entries)
 
 
 def _step_loop(
@@ -133,16 +132,13 @@ def _step_loop(
     the node alone otherwise; a repeated configuration proves a cycle.
     Each visited node is resolved to its slot and step function once.
     """
-    slots: dict[str, int | None] = {}
-    units: list[FunctionalUnit] = []
+    entries = family.entries
+    slots: dict[str, int] = {}
     states: list[Any] = []
-    for focus, service in family.entries.items():
+    for focus, service in entries.items():
         if isinstance(service, UnitService):
             slots[focus] = len(states)
-            units.append(service.unit)
             states.append(service.state)
-        else:
-            slots[focus] = None
     nodes = thread.nodes
     resolved: dict = {}
     current = thread.root
@@ -153,7 +149,7 @@ def _step_loop(
     while True:
         entry = resolved.get(current)
         if entry is None:
-            entry = resolved[current] = _resolve_node(nodes[current], slots, units)
+            entry = resolved[current] = _resolve_node(nodes[current], entries, slots)
         kind, slot, step, then_ref, else_ref = entry
         if kind >= _STOP_TRUE:
             if kind == _DEADLOCK:

@@ -8,7 +8,6 @@ from conftest import FOCI, random_family, random_service
 from seqhalt.services import (
     EMPTY_SERVICE,
     Reply,
-    ServiceFamily,
     UnitService,
     compose,
     empty_family,
