@@ -9,8 +9,12 @@ in the configuration key.  A run never changes which unit a focus holds
 (a Divergent reply ends it), so the loop keeps only each unit's state.
 ``run`` keys on the node plus those unit states, so loops that keep
 growing a state exhaust their fuel instead: the evaluator never claims
-a divergence it cannot prove.  ``run_total`` keys on the node only,
-which is sound when every reply involved has a declared
+a divergence it cannot prove.  It keeps only an integer digest of each
+configuration, so its memory does not grow with the size of the states
+it has passed.  A digest seen before is only a candidate: the run is
+replayed from its start to find an equal configuration, so a digest
+collision costs time, never an answer.  ``run_total`` keys on the node
+only, which is sound when every reply involved has a declared
 state-independent value: each node then has a fixed successor, so
 revisiting one closes an infinite loop.
 
@@ -34,7 +38,6 @@ from .services import (
     Service,
     ServiceFamily,
     UnitService,
-    _unit_step,
     empty_family,
     format_family,
     singleton_family,
@@ -98,7 +101,7 @@ def _resolve_node(
         service = entries.get(action.focus)
         if service is None:
             return _MISSING_FOCUS, None, None, None, None
-        step = _unit_step(service.unit, action.method) if isinstance(service, UnitService) else None
+        step = service.unit.steps.get(action.method) if isinstance(service, UnitService) else None
         if step is None:
             return _REPLY_D, None, None, None, None
         return _STEP, slots[action.focus], step, node.then_ref, node.else_ref
@@ -117,6 +120,39 @@ def _family(family: ServiceFamily, slots: Mapping[str, int], states: Sequence[An
     return ServiceFamily(entries)
 
 
+# The digest that ``run`` keys each configuration on.  Any function of the
+# configuration will do, since a repeated digest is confirmed by replay.
+_digest = hash
+
+
+def _seen_before(
+    resolved: Mapping[Any, tuple],
+    root: Any,
+    initial: Sequence[Any],
+    steps: int,
+    current: Any,
+    now: Sequence[Any],
+) -> bool:
+    """Whether one of the first ``steps`` configurations of the run from
+    ``root`` and the unit states ``initial`` is ``current`` with the
+    unit states ``now``.
+
+    Replays those steps over ``resolved``, which holds every node they
+    visit, without hashing, tracing or a fuel check.
+    """
+    node, states = root, list(initial)
+    for _ in range(steps):
+        if node == current and states == now:
+            return True
+        kind, slot, step, then_ref, else_ref = resolved[node]
+        if kind == _STEP:
+            reply, states[slot] = step(states[slot])
+        else:  # _TAU: every other kind ends the run before its step.
+            reply = True
+        node = then_ref if reply else else_ref
+    return False
+
+
 def _step_loop(
     thread: RegularThread,
     family: ServiceFamily,
@@ -131,6 +167,11 @@ def _step_loop(
     configuration is the node plus every slot's state when ``keyed``,
     the node alone otherwise; a repeated configuration proves a cycle.
     Each visited node is resolved to its slot and step function once.
+
+    Keyed, ``seen`` holds the digest of each configuration.  A repeated
+    digest is confirmed by replaying the run from its start: an equal
+    earlier configuration proves the cycle, and none means the digests
+    collided, so the run goes on and claims nothing.
     """
     entries = family.entries
     slots: dict[str, int] = {}
@@ -142,9 +183,11 @@ def _step_loop(
     nodes = thread.nodes
     resolved: dict = {}
     current = thread.root
+    initial = list(states) if keyed else None
     steps = 0
-    # One configuration per step taken, so a step whose configuration
-    # was seen before leaves the set's size at ``steps``.
+    # Unkeyed: one node per step taken, so a step whose node was seen
+    # before leaves the set's size at ``steps``.  Keyed, a collision also
+    # leaves it there, so a repeat is tested by membership.
     seen: set = set()
     while True:
         entry = resolved.get(current)
@@ -155,9 +198,16 @@ def _step_loop(
             if kind == _DEADLOCK:
                 return ProvenDivergent(DivergenceCause.DEADLOCK, steps)
             return Converged(kind == _STOP_TRUE, _family(family, slots, states), steps)
-        seen.add((current, *states) if keyed else current)
-        if len(seen) == steps:
-            return ProvenDivergent(DivergenceCause.CYCLE, steps)
+        if keyed:
+            key = _digest((current, *states))
+            if key not in seen:
+                seen.add(key)
+            elif _seen_before(resolved, thread.root, initial, steps, current, states):
+                return ProvenDivergent(DivergenceCause.CYCLE, steps)
+        else:
+            seen.add(current)
+            if len(seen) == steps:
+                return ProvenDivergent(DivergenceCause.CYCLE, steps)
         if steps >= fuel:
             return FuelExhausted(steps)
         if kind == _STEP:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Union
+from typing import Any, Iterable, Mapping, Union
 
 from .program import _FOCUS_RE, InputError
 from .units import FunctionalUnit, unit_by_name
@@ -80,28 +80,8 @@ def encapsulate(foci: Iterable[str], c: ServiceFamily) -> ServiceFamily:
     return ServiceFamily({f: s for f, s in c.entries.items() if f not in hidden})
 
 
-def _unit_step(unit: FunctionalUnit, method: str) -> Callable[[Any], tuple[bool, Any]] | None:
-    """The step function of ``unit``'s ``method``, None when the unit has
-    no such method.  A step whose operation declares a constant reply
-    checks every reply against it."""
-    op = unit.operations.get(method)
-    if op is None:
-        return None
-    if op.constant_reply is None:
-        return op.step
-    step, constant = op.step, op.constant_reply
-
-    def checked(state: Any) -> tuple[bool, Any]:
-        reply, successor = step(state)
-        if reply != constant:
-            raise AssertionError(f"declared constant reply violated by {unit.name}.{method}")
-        return reply, successor
-
-    return checked
-
-
 def service_step(service: Service, method: str) -> tuple[Reply, Service]:
-    step = None if isinstance(service, EmptyService) else _unit_step(service.unit, method)
+    step = None if isinstance(service, EmptyService) else service.unit.steps.get(method)
     if step is None:
         return Reply.DIVERGENT, EMPTY_SERVICE
     reply, state = step(service.state)

@@ -21,7 +21,7 @@ duplication operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Mapping
 
@@ -101,17 +101,42 @@ class MethodOperation:
     constant_reply: bool | None = None
 
 
+def _checked_step(unit_name: str, op: MethodOperation) -> Callable[[Any], tuple[bool, Any]]:
+    """``op``'s step function, checking every reply against the declared
+    constant reply when ``op`` declares one: a contradicting reply is a
+    bug in the unit and raises AssertionError."""
+    if op.constant_reply is None:
+        return op.step
+    step, constant = op.step, op.constant_reply
+
+    def checked(state: Any) -> tuple[bool, Any]:
+        reply, successor = step(state)
+        if reply != constant:
+            raise AssertionError(f"declared constant reply violated by {unit_name}.{op.name}")
+        return reply, successor
+
+    return checked
+
+
 @dataclass(frozen=True)
 class FunctionalUnit:
+    """A named set of operations.  ``steps`` maps each method to its
+    step function, built once with the unit by ``_checked_step``."""
+
     name: str
     operations: Mapping[str, MethodOperation]
     format_state: Callable[[Any], str]
     parse_state: Callable[[str], Any]
+    steps: Mapping[str, Callable[[Any], tuple[bool, Any]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for key, op in self.operations.items():
             if key != op.name:
                 raise InputError(f"operation {op.name!r} registered under {key!r}")
+        steps = {key: _checked_step(self.name, op) for key, op in self.operations.items()}
+        object.__setattr__(self, "steps", steps)
 
 
 def interface(unit: FunctionalUnit) -> frozenset[str]:

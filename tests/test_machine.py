@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,7 @@ from seqhalt.machine import (
     run_total,
 )
 from seqhalt.program import InputError, parse
-from seqhalt.services import Reply, UnitService, empty_family, singleton_family
+from seqhalt.services import Reply, UnitService, empty_family, parse_family, singleton_family
 from seqhalt.threads import PostCond, RegularThread, STOP_TRUE, TAU
 from seqhalt.units import FunctionalUnit, MethodOperation, at_left, counter_unit, dup_unit
 
@@ -130,6 +131,19 @@ class TestRun:
             first = run(x, fam, 100)
             if not isinstance(first, FuelExhausted):
                 assert run(x, fam, 1000) == first
+
+    def test_growing_tape_runs_in_bounded_memory(self):
+        # Keeping every configuration of this loop holds O(steps^2)
+        # symbols: about 57 MB traced at 20 000 steps.
+        x, fam = parse("f.mvr;f.write:1;\\#2"), parse_family("f=tapebasic:|")
+        tracemalloc.start()
+        try:
+            out = run(x, fam, 20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out == FuelExhausted(20_000)
+        assert peak < 10 * 2**20
 
     def test_lying_unit_caught_on_every_path(self):
         liar = FunctionalUnit(
