@@ -3,13 +3,15 @@
 
 Exits non-zero if any sweep finds a counterexample.  Lengths are kept
 small enough to finish in well under a minute; raise them (up to the
-guard of 5) with --max-len.
+guard of 5) with --max-len.  Each suite's wall time goes to stderr, so
+stdout stays the sweeps' own output.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from seqhalt.cli import main as cli_main
 
@@ -25,7 +27,9 @@ def main() -> int:
         if args.json:
             argv.append("--json")
         print(f"== sweep {suite} (max-len {args.max_len})")
+        start = time.perf_counter()
         worst = max(worst, cli_main(argv))
+        print(f"{suite}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
     return worst
 
 

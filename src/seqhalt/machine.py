@@ -13,10 +13,16 @@ a divergence it cannot prove.  It keeps only an integer digest of each
 configuration, so its memory does not grow with the size of the states
 it has passed.  A digest seen before is only a candidate: the run is
 replayed from its start to find an equal configuration, so a digest
-collision costs time, never an answer.  ``run_total`` keys on the node
-only, which is sound when every reply involved has a declared
-state-independent value: each node then has a fixed successor, so
-revisiting one closes an infinite loop.
+collision costs time, never an answer.  A run that ends is one that
+never repeated a configuration, since the loop is deterministic, so an
+untraced ``run`` first takes up to ``_PREFIX`` steps keying nothing: if
+the run ends within them, that is its outcome.  Otherwise, or when a
+checkpoint saved at each power-of-two step repeats, which stops a short
+cycle early, the run starts again keyed, so the cycle step and the
+FUEL/CYCLE boundary stay exact.  A traced run is keyed from step 0.
+``run_total`` keys on the node only, which is sound when every reply
+involved has a declared state-independent value: each node then has a
+fixed successor, so revisiting one closes an infinite loop.
 
 A tau action is stepped like a basic one whose reply is always True,
 without touching a service.  ``run`` reports each step, as it happens,
@@ -120,6 +126,16 @@ def _family(family: ServiceFamily, slots: Mapping[str, int], states: Sequence[An
     return ServiceFamily(entries)
 
 
+# What ``_step_loop`` keys a configuration on: the node alone
+# (``run_total``), a digest of the node and the unit states (``run``), or
+# nothing, in the unkeyed prefix of an untraced ``run``.
+_NODE, _CONFIGURATION, _CHECKPOINT = range(3)
+
+# The most steps an untraced ``run`` takes unkeyed before it starts again,
+# keyed.  A run that ends within them never pays for a key; one that does
+# not pays these steps twice.
+_PREFIX = 1024
+
 # The digest that ``run`` keys each configuration on.  Any function of the
 # configuration will do, since a repeated digest is confirmed by replay.
 _digest = hash
@@ -158,20 +174,33 @@ def _step_loop(
     family: ServiceFamily,
     fuel: float,
     trace: Callable[[str], None] | None,
-    keyed: bool,
-) -> Outcome:
+    key: int,
+) -> Outcome | None:
     """The step loop of both evaluators.
 
     Each focus holding a unit gets a slot with that unit's state; the
     units stay fixed for the run, since a Divergent reply ends it.  A
-    configuration is the node plus every slot's state when ``keyed``,
-    the node alone otherwise; a repeated configuration proves a cycle.
-    Each visited node is resolved to its slot and step function once.
+    configuration is the node plus every slot's state under
+    ``_CONFIGURATION`` and ``_CHECKPOINT``, the node alone under
+    ``_NODE``.  Each visited node is resolved to its slot and step
+    function once.
 
-    Keyed, ``seen`` holds the digest of each configuration.  A repeated
-    digest is confirmed by replaying the run from its start: an equal
-    earlier configuration proves the cycle, and none means the digests
-    collided, so the run goes on and claims nothing.
+    Under ``_NODE`` and ``_CONFIGURATION`` a repeated configuration
+    proves a cycle.  ``_CONFIGURATION`` keeps the digest of each
+    configuration in ``seen``; a repeated digest is confirmed by
+    replaying the run from its start: an equal earlier configuration
+    proves the cycle, and none means the digests collided, so the run
+    goes on and claims nothing.
+
+    ``_CHECKPOINT`` keys nothing: it is the unkeyed prefix of an
+    untraced ``run``, whose ``fuel`` is at most ``_PREFIX``.  It returns
+    an outcome only when the run ends within that fuel, by termination,
+    deadlock, a missing focus or a Divergent reply; none of those can
+    follow a repeated configuration, so the keyed loop ends the same
+    way.  It returns None, for ``run`` to start again keyed, when the
+    fuel runs out or the configuration equals the one saved at the last
+    power-of-two step.  That checkpoint (R. P. Brent, BIT 20, 1980)
+    stops a short cycle long before ``_PREFIX``.
     """
     entries = family.entries
     slots: dict[str, int] = {}
@@ -183,12 +212,15 @@ def _step_loop(
     nodes = thread.nodes
     resolved: dict = {}
     current = thread.root
+    checkpoint, keyed = key == _CHECKPOINT, key == _CONFIGURATION
     initial = list(states) if keyed else None
     steps = 0
-    # Unkeyed: one node per step taken, so a step whose node was seen
-    # before leaves the set's size at ``steps``.  Keyed, a collision also
-    # leaves it there, so a repeat is tested by membership.
+    # Under _NODE, one node per step taken, so a step whose node was seen
+    # before leaves the set's size at ``steps``.  Under _CONFIGURATION a
+    # collision also leaves it there, so a repeat is tested by membership.
     seen: set = set()
+    mark = marked = None
+    next_mark = 1
     while True:
         entry = resolved.get(current)
         if entry is None:
@@ -198,10 +230,15 @@ def _step_loop(
             if kind == _DEADLOCK:
                 return ProvenDivergent(DivergenceCause.DEADLOCK, steps)
             return Converged(kind == _STOP_TRUE, _family(family, slots, states), steps)
-        if keyed:
-            key = _digest((current, *states))
-            if key not in seen:
-                seen.add(key)
+        if checkpoint:
+            if current == mark and states == marked:
+                return None
+            if steps == next_mark:
+                mark, marked, next_mark = current, list(states), 2 * next_mark
+        elif keyed:
+            digest = _digest((current, *states))
+            if digest not in seen:
+                seen.add(digest)
             elif _seen_before(resolved, thread.root, initial, steps, current, states):
                 return ProvenDivergent(DivergenceCause.CYCLE, steps)
         else:
@@ -209,7 +246,7 @@ def _step_loop(
             if len(seen) == steps:
                 return ProvenDivergent(DivergenceCause.CYCLE, steps)
         if steps >= fuel:
-            return FuelExhausted(steps)
+            return None if checkpoint else FuelExhausted(steps)
         if kind == _STEP:
             reply, states[slot] = step(states[slot])
         elif kind == _TAU:
@@ -238,12 +275,24 @@ def run(
     ``trace``, when given, is called once per step, in step order and
     before the next step runs, with the line
     ``pc=<node> action=<action> reply=<T|F> state=<family literal>``.
+    A traced run keys its configurations from step 0, so its lines stop
+    at the step that proves a cycle.  An untraced run first takes up to
+    ``_PREFIX`` steps unkeyed, and starts again keyed only if it has not
+    ended by then or its checkpoint repeats; it costs at most
+    ``_PREFIX`` steps more than the keyed run alone.
     """
-    if not isinstance(fuel, int):
+    if isinstance(fuel, bool) or not isinstance(fuel, int):
         raise InputError(f"fuel must be an integer: {fuel!r}")
     if fuel < 1:
         raise InputError("fuel must be at least 1")
-    return _step_loop(_as_thread(x), family, fuel, trace, keyed=True)
+    thread = _as_thread(x)
+    if trace is None:
+        # Not ``min``: most runs end within a few steps, and the call
+        # showed in their cost.
+        outcome = _step_loop(thread, family, fuel if fuel < _PREFIX else _PREFIX, None, _CHECKPOINT)
+        if outcome is not None:
+            return outcome
+    return _step_loop(thread, family, fuel, trace, _CONFIGURATION)
 
 
 def run_total(x: Program | RegularThread, family: ServiceFamily) -> Outcome:
@@ -265,7 +314,7 @@ def run_total(x: Program | RegularThread, family: ServiceFamily) -> Outcome:
                     )
     # The configuration is the node only.  A run without repeated nodes
     # takes fewer steps than the thread has nodes, so it needs no fuel.
-    return _step_loop(thread, family, float("inf"), None, keyed=False)
+    return _step_loop(thread, family, float("inf"), None, _NODE)
 
 
 def reply(

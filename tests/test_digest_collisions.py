@@ -13,7 +13,14 @@ from seqhalt.machine import DivergenceCause, FuelExhausted, ProvenDivergent, run
 from seqhalt.program import parse
 from seqhalt.services import parse_family
 from seqhalt.threads import extract
-from test_step_loop_differential import assert_run_matches, st_family, st_program, st_thread
+from test_step_loop_differential import (
+    PREFIXES,
+    assert_run_matches,
+    st_family,
+    st_program,
+    st_program_or_thread,
+    st_thread,
+)
 
 st_fuel = st.integers(1, 200)
 
@@ -54,4 +61,16 @@ def test_run_matches_reference_when_digests_collide(data, fuel):
 def test_run_matches_reference_on_threads_with_tau_when_digests_collide(thread, family, fuel):
     with pytest.MonkeyPatch.context() as monkeypatch:
         collide(monkeypatch)
+        assert_run_matches(thread, family, fuel)
+
+
+@pytest.mark.parametrize("prefix", PREFIXES)
+@settings(deadline=None, max_examples=50)
+@given(data=st.data(), fuel=st_fuel)
+def test_run_matches_reference_after_a_short_prefix_when_digests_collide(prefix, data, fuel):
+    family = data.draw(st_family)
+    thread = data.draw(st_program_or_thread(family))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        collide(monkeypatch)
+        monkeypatch.setattr(machine, "_PREFIX", prefix)
         assert_run_matches(thread, family, fuel)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_family, random_program
+from seqhalt import machine
 from seqhalt.machine import (
     Converged,
     DivergenceCause,
@@ -31,6 +32,20 @@ def dup_family(word=""):
     return singleton_family("f", UnitService(dup_unit(), at_left(word)))
 
 
+def counting_counter_family(n, calls):
+    """A counter family whose unit appends each state it steps to ``calls``."""
+
+    def counted(op):
+        def step(state):
+            calls.append(state)
+            return op.step(state)
+
+        return MethodOperation(op.name, step, op.constant_reply)
+
+    operations = {name: counted(op) for name, op in counter_unit().operations.items()}
+    return singleton_family("f", UnitService(FunctionalUnit("counter", operations, str, int), n))
+
+
 class TestRun:
     def test_immediate_termination_keeps_family(self):
         fam = counter_family(0)
@@ -51,7 +66,7 @@ class TestRun:
         out = run(parse("f.succ;\\#1"), counter_family(0), fuel=1000)
         assert out == FuelExhausted(1000)
 
-    @pytest.mark.parametrize("fuel", [0, 1.5, "5"])
+    @pytest.mark.parametrize("fuel", [0, 1.5, "5", True])
     def test_fuel_must_be_an_int_of_at_least_1(self, fuel):
         with pytest.raises(InputError, match="^fuel must be"):
             run(parse("f.succ;\\#1"), counter_family(0), fuel)
@@ -144,6 +159,32 @@ class TestRun:
             tracemalloc.stop()
         assert out == FuelExhausted(20_000)
         assert peak < 10 * 2**20
+
+    def test_run_that_ends_within_the_prefix_keys_nothing(self, monkeypatch):
+        # The counter is back at a node it has visited on every step but
+        # the first, with a new state each time.
+        monkeypatch.setattr(machine, "_digest", None)
+        calls = []
+        out = run(parse("+f.pred;\\#1;!t"), counting_counter_family(500, calls))
+        assert (out.reply, out.family.entries["f"].state, out.steps) == (True, 0, 501)
+        assert len(calls) == 501
+
+    def test_short_cycle_ends_the_unkeyed_prefix_early(self):
+        # Without the checkpoint, this run would take _PREFIX unkeyed
+        # steps before it started again, keyed.
+        calls = []
+        out = run(parse("+f.pred;\\#1;f.setzero;\\#1"), counting_counter_family(3, calls))
+        assert out == ProvenDivergent(DivergenceCause.CYCLE, 5)
+        assert len(calls) <= 40
+
+    def test_unkeyed_prefix_costs_at_most_its_length(self):
+        # A traced run keys from step 0; its unit steps include those of
+        # the replay that confirms the repeat.
+        x, keyed, unkeyed = parse("+f.pred;\\#1;f.setzero;\\#1"), [], []
+        out = run(x, counting_counter_family(3000, keyed), trace=lambda line: None)
+        assert out == ProvenDivergent(DivergenceCause.CYCLE, 3002)
+        assert run(x, counting_counter_family(3000, unkeyed)) == out
+        assert len(unkeyed) <= len(keyed) + machine._PREFIX + 64
 
     def test_lying_unit_caught_on_every_path(self):
         liar = FunctionalUnit(

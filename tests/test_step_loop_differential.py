@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import frozen_machine
 from conftest import random_thread
+from seqhalt import machine
 from seqhalt.machine import run, run_total
 from seqhalt.program import (
     TERM_FALSE,
@@ -103,6 +104,7 @@ def assert_run_matches(thread, family, fuel):
     outcome = run(thread, family, fuel, trace=lines.append)
     assert outcome == frozen_machine.run(thread, family, fuel, trace=reference_lines.append)
     assert lines == reference_lines
+    assert run(thread, family, fuel) == outcome
 
 
 def run_total_or_error(evaluate, thread, family):
@@ -123,6 +125,27 @@ def test_run_matches_reference(data, fuel):
 @given(st_thread, st_family, st_fuel)
 def test_run_matches_reference_on_threads_with_tau(thread, family, fuel):
     assert_run_matches(thread, family, fuel)
+
+
+def st_program_or_thread(family):
+    return st.one_of(st_program(family).map(extract), st_thread)
+
+
+# Short prefixes make the untraced run start again, keyed, within the
+# fuel drawn: after the prefix's last step, at the fuel, or on a repeat
+# of the configuration saved at a power-of-two step.
+PREFIXES = [1, 2, 5, 16]
+
+
+@pytest.mark.parametrize("prefix", PREFIXES)
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), fuel=st_fuel)
+def test_run_matches_reference_after_a_short_prefix(prefix, data, fuel):
+    family = data.draw(st_family)
+    thread = data.draw(st_program_or_thread(family))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(machine, "_PREFIX", prefix)
+        assert_run_matches(thread, family, fuel)
 
 
 @pytest.mark.parametrize("methods", [METHODS, CONSTANT_METHODS], ids=["all", "constant"])
