@@ -3,11 +3,12 @@
 Subcommands: parse, run, transform, encode, decode, decide,
 validate-solver, check-interpreter, sweep.  Every subcommand accepts
 --json for machine-readable output.  Exit codes: 0 success, 1 domain
-negative (refuted candidate, sweep counterexample), 2 input rejected
-(an ``InputError``: usage, parse or program-class error), 3 internal
-error (a bug; its traceback goes to stderr), 141 the reader closed
-stdout (the status of a process that SIGPIPE ended).  Output is
-reproducible: no timestamps, no randomness.
+negative (refuted candidate, sweep counterexample), 2 input rejected (an
+``InputError``: usage, parse or program-class error), 3 internal error
+(a bug; its traceback goes to stderr), 141 the reader closed stdout (the
+status of a process that SIGPIPE ended).  Output is reproducible: no
+timestamps, no randomness.  ``main`` may run repeatedly in one process
+and builds its parser once; a one-shot ``seqhalt`` run is no faster.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import signal
 import sys
 import traceback
+from functools import lru_cache
 
 from .halting import (
     NotRefuted,
@@ -162,6 +164,7 @@ def _cmd_sweep(args) -> int:
     return 1 if bad else 0
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqhalt",

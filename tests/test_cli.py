@@ -315,7 +315,7 @@ st_cli_line = st.tuples(st_argv, st.booleans()).map(
 )
 
 
-@settings(deadline=None, max_examples=200)
+@settings(deadline=None, max_examples=400)
 @given(st_cli_line)
 def test_cli_fuzz_exits_cleanly(argv):
     """Whatever the arguments, main returns or exits with 0, 1 or 2; a bug
@@ -326,3 +326,82 @@ def test_cli_fuzz_exits_cleanly(argv):
         except SystemExit as stop:  # argparse rejects the command line
             code = stop.code
     assert code in (0, 1, 2)
+
+
+def parsed(parser, argv):
+    """What ``parser`` makes of ``argv``: the namespace's values, or the
+    exit code and stderr of a rejected command line."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as stop:
+            return stop.code, err.getvalue()
+
+
+@settings(deadline=None, max_examples=100)
+@given(st_cli_line, st_cli_line)
+def test_reused_parser_parses_as_a_fresh_one(first, second):
+    """main builds its parser once per process; after any command line,
+    the reused parser reads the next one as a freshly built parser does."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            main(first)
+        except SystemExit:
+            pass
+    assert parsed(cli._build_parser(), second) == parsed(cli._build_parser.__wrapped__(), second)
+
+
+@pytest.mark.parametrize(
+    "first, second, expected",
+    [
+        (["transform", "--swap", "!t;!f"], ["transform", "!t;!f"], "!t;!f\n"),
+        (
+            ["check-interpreter", "--sample", "!t@|", "f.dup;!t;!f"],
+            ["check-interpreter", "f.dup;!t;!f"],
+            "diagonal f.dup;f.dup;!f;!t @ ",
+        ),
+        (["run", "--trace", "f.dup;!t", "f=dup:|1"], ["run", "f.dup;!t", "f=dup:|1"], "T f=dup:|1:1\n"),
+    ],
+    ids=["swap", "sample", "trace"],
+)
+def test_options_do_not_leak_into_the_next_call(capsys, first, second, expected):
+    invoke(capsys, *first)
+    _, out, _ = invoke(capsys, *second)
+    assert out.startswith(expected)
+    assert not any(line.startswith(("sample ", "pc=")) for line in out.splitlines())
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(50):
+        invoke(capsys, "encode", "!t")
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 49)
+
+
+SUBCOMMANDS = ["parse", "run", "transform", "encode", "decode", "decide", "validate-solver", "check-interpreter", "sweep"]
+
+
+def help_text(parse_args, argv):
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as stop:
+        parse_args(argv)
+    assert stop.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[sub, "--help"] for sub in SUBCOMMANDS], ids=" ".join)
+def test_help_is_the_fresh_parsers(argv):
+    fresh = help_text(cli._build_parser.__wrapped__().parse_args, argv)
+    assert help_text(main, argv) == help_text(main, argv) == fresh
+
+
+def test_help_follows_the_terminal_width(monkeypatch):
+    widths = {}
+    for columns in ("200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        widths[columns] = help_text(main, ["run", "--help"])
+        assert widths[columns] == help_text(cli._build_parser.__wrapped__().parse_args, ["run", "--help"])
+    assert widths["200"] != widths["40"]
+    assert max(map(len, widths["40"].splitlines())) <= 40

@@ -2,6 +2,9 @@
 every private top-level name of the package is used somewhere in it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,6 +137,15 @@ def unbounded_caches(tree: ast.Module) -> list[int]:
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_caches_are_bounded(path):
     assert unbounded_caches(ast.parse(path.read_text())) == []
+
+
+def test_import_builds_no_parser():
+    # The CLI's parser is built on the first main call, so that importing
+    # the package pays nothing for it.
+    probe = "import seqhalt.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "0\n"
 
 
 def test_unbounded_cache_is_found():
