@@ -5,10 +5,12 @@ functional unit is a finite, per-name-unique set of them.  Two state
 spaces are built in: the unbounded counter (naturals) and the tape-like
 space of strings over {0,1,:} split around a head position, written
 ``left|right`` (``|1:0`` means the head sits on the first symbol of
-``1:0`` with nothing to its left).  ``TapeState(...)``, ``at_left`` and
-``parse_tape`` reject other symbols; the tape operations build their
-successor states without that check, since they only move, copy or
-write symbols already on the tape or in the alphabet.
+``1:0`` with nothing to its left); a tape state is the tuple
+``(left, right)``, so it equals and hashes like that bare tuple and
+orders lexicographically.  ``TapeState(...)``, ``at_left`` and
+``parse_tape`` reject non-strings and other symbols; the tape
+operations build their successor states unchecked, since they only
+move, copy or write symbols already on the tape or in the alphabet.
 
 The stock units are the four-operation counter, the single-operation
 duplication unit, the tape-basic unit whose operations are the
@@ -22,7 +24,8 @@ duplication operation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Any, Callable, Mapping
 
 from .program import (
@@ -38,37 +41,42 @@ from .program import (
 from .threads import _halts
 
 TAPE_ALPHABET = frozenset("01:")
+_TAPE_SYMBOLS = "".join(TAPE_ALPHABET)
 
 
-@dataclass(frozen=True)
-class TapeState:
-    """Tape content split around the head: ``left`` then ``right``, the
-    head on the first symbol of ``right`` (or past the end if empty)."""
+class TapeState(tuple):
+    """The tuple ``(left, right)`` of tape content split around the head,
+    which is on the first symbol of ``right`` (past the end if empty).  It
+    equals and hashes like the bare tuple; states order lexicographically."""
 
-    left: str = ""
-    right: str = ""
+    __slots__ = ()
+    left = property(itemgetter(0))
+    right = property(itemgetter(1))
 
-    def __post_init__(self):
-        for part in (self.left, self.right):
-            if not set(part) <= TAPE_ALPHABET:
+    def __new__(cls, left: str = "", right: str = "") -> TapeState:
+        for part in (left, right):
+            if not isinstance(part, str) or part.strip(_TAPE_SYMBOLS):
                 raise InputError(f"tape symbols must be 0, 1 or ':': {part!r}")
+        return tuple.__new__(cls, (left, right))
+
+    def __getnewargs__(self) -> tuple[str, str]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "TapeState(left=%r, right=%r)" % self
 
     @property
     def content(self) -> str:
-        return self.left + self.right
+        return self[0] + self[1]
 
     def __str__(self) -> str:
         return format_tape(self)
 
 
-def _tape(left: str, right: str) -> TapeState:
-    """A ``TapeState`` built without the symbol check, for the tape
-    operations: they only move, copy or write alphabet symbols."""
-    state = object.__new__(TapeState)
-    fields = state.__dict__
-    fields["left"] = left
-    fields["right"] = right
-    return state
+# A ``TapeState`` from its ``(left, right)`` pair without the symbol
+# check, for the tape operations: they only move, copy or write alphabet
+# symbols.
+_tape = partial(tuple.__new__, TapeState)
 
 
 def at_left(word: str) -> TapeState:
@@ -77,7 +85,7 @@ def at_left(word: str) -> TapeState:
 
 
 def format_tape(state: TapeState) -> str:
-    return f"{state.left}|{state.right}"
+    return "|".join(state)
 
 
 def parse_tape(text: str) -> TapeState:
@@ -169,9 +177,7 @@ def dup_step(state: TapeState) -> tuple[bool, TapeState]:
     """Duplicate the bit block before the first ':' (the whole content if
     colon-free), after rewinding the head to the far left."""
     content = state.content
-    cut = content.find(":")
-    block = content if cut < 0 else content[:cut]
-    return True, _tape("", f"{block}:{content}")
+    return True, _tape(("", f"{content.partition(':')[0]}:{content}"))
 
 
 _DUP = FunctionalUnit(
@@ -184,20 +190,22 @@ def dup_unit() -> FunctionalUnit:
 
 
 def _move_left(s: TapeState) -> tuple[bool, TapeState]:
-    if not s.left:
+    left, right = s
+    if not left:
         return False, s
-    return True, _tape(s.left[:-1], s.left[-1] + s.right)
+    return True, _tape((left[:-1], left[-1] + right))
 
 
 def _move_right(s: TapeState) -> tuple[bool, TapeState]:
-    if not s.right:
+    left, right = s
+    if not right:
         return False, s
-    return True, _tape(s.left + s.right[0], s.right[1:])
+    return True, _tape((left + right[0], right[1:]))
 
 
 def _test(symbol: str) -> Callable[[TapeState], tuple[bool, TapeState]]:
     def step(s: TapeState) -> tuple[bool, TapeState]:
-        return bool(s.right) and s.right[0] == symbol, s
+        return s.right[:1] == symbol, s
 
     return step
 
@@ -209,15 +217,17 @@ def _test_end(s: TapeState) -> tuple[bool, TapeState]:
 def _write(symbol: str) -> Callable[[TapeState], tuple[bool, TapeState]]:
     def step(s: TapeState) -> tuple[bool, TapeState]:
         # Overwrites the symbol under the head, appends at the right end.
-        return True, _tape(s.left, symbol + s.right[1:])
+        left, right = s
+        return True, _tape((left, symbol + right[1:]))
 
     return step
 
 
 def _delete(s: TapeState) -> tuple[bool, TapeState]:
-    if not s.right:
+    left, right = s
+    if not right:
         return False, s
-    return True, _tape(s.left, s.right[1:])
+    return True, _tape((left, right[1:]))
 
 
 def _tape_basic_ops() -> dict[str, MethodOperation]:
@@ -274,7 +284,7 @@ def _halting_reply(content: str) -> bool:
 def halting_op_step(state: TapeState) -> tuple[bool, TapeState]:
     """The halting oracle as a method operation: reply per
     ``_halting_reply`` on the tape content, and reset the tape to empty."""
-    return _halting_reply(state.content), _tape("", "")
+    return _halting_reply(state.content), _tape(("", ""))
 
 
 _HALTING_EMPTY = FunctionalUnit(

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from seqhalt.machine import (
 )
 from seqhalt.program import InputError, parse
 from seqhalt.units import (
+    TAPE_ALPHABET,
     TapeState,
     at_left,
     counter_unit,
@@ -31,6 +34,9 @@ from seqhalt.units import (
 st_bits = st.text(alphabet="01", max_size=4)
 st_word = st.text(alphabet="01:", max_size=6)
 st_tape = st.builds(lambda seed: random_tape(random.Random(seed)), st.integers(0, 10**6))
+# Any text, with tape symbols, the head marker and a newline drawn often
+# enough that both accepted and rejected parts come up.
+st_any_part = st.text(st.sampled_from("01:|\n") | st.characters(), max_size=6)
 
 
 def step(unit, method, state):
@@ -92,6 +98,64 @@ class TestTapeState:
             with pytest.raises(ValueError, match="tape symbols must be 0, 1 or ':'"):
                 build()
 
+    @pytest.mark.parametrize("part", [["0", "1"], ("1",), None, b"01", b""])
+    def test_non_string_parts_rejected(self, part):
+        for build in (
+            lambda: TapeState(part, ""),
+            lambda: TapeState("", part),
+            lambda: TapeState(left=part),
+            lambda: TapeState(right=part),
+            lambda: at_left(part),
+        ):
+            with pytest.raises(InputError, match="tape symbols must be 0, 1 or ':'"):
+                build()
+
+    @given(st_any_part, st_any_part)
+    def test_accepts_exactly_the_alphabet(self, left, right):
+        accepted = set(left) | set(right) <= TAPE_ALPHABET
+        for build in (lambda: TapeState(left, right), lambda: parse_tape(f"{left}|{right}")):
+            if accepted:
+                assert build() == TapeState(left, right)
+            else:
+                with pytest.raises(InputError):
+                    build()
+        if set(left) <= TAPE_ALPHABET:
+            assert at_left(left) == TapeState("", left)
+        else:
+            with pytest.raises(InputError):
+                at_left(left)
+
+    def test_public_surface(self):
+        state = TapeState("1", "0:11")
+        assert repr(state) == "TapeState(left='1', right='0:11')"
+        assert str(state) == format_tape(state) == "1|0:11"
+        assert state.content == "10:11"
+        assert (state.left, state.right) == ("1", "0:11")
+        assert TapeState() == TapeState("", "") == parse_tape("|")
+        assert TapeState().left == TapeState().right == ""
+        assert TapeState(left="1", right="0:11") == state
+        assert TapeState(right="0") == at_left("0")
+        for name in ("left", "right"):
+            with pytest.raises(AttributeError):
+                setattr(state, name, "0")
+        assert not hasattr(state, "__dict__")
+        with pytest.raises(AttributeError):
+            state.head = 0
+
+    def test_equals_the_bare_tuple_and_orders_lexicographically(self):
+        state = TapeState("1", "0:11")
+        assert state == ("1", "0:11") and hash(state) == hash(("1", "0:11"))
+        assert sorted([TapeState("1", ""), TapeState("0", "1"), TapeState("0", "")]) == [
+            TapeState("0", ""),
+            TapeState("0", "1"),
+            TapeState("1", ""),
+        ]
+
+    def test_copies_and_pickles_as_tape_states(self):
+        state = TapeState("1", "0:11")
+        for clone in (copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+            assert type(clone) is TapeState and clone == state
+
 
 # Every tape state with up to 4 symbols, the head at each position.
 SMALL_TAPES = [
@@ -109,10 +173,12 @@ SMALL_TAPES = [
 def test_tape_successors_equal_checked_states(name, step):
     # The tape operations skip the symbol check; their successors must
     # still be states the checked constructor accepts, equal and hashing
-    # alike.
+    # alike, and of the same type: a bare (left, right) tuple would pass
+    # the equality and hash checks alone.
     for state in SMALL_TAPES:
         _, successor = step(state)
         checked = TapeState(successor.left, successor.right)
+        assert type(successor) is TapeState
         assert successor == checked and hash(successor) == hash(checked)
 
 
