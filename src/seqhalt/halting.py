@@ -57,7 +57,7 @@ from .program import (
     render,
 )
 from .services import UnitService, singleton_family
-from .threads import _halts, _resolve
+from .threads import RegularThread, _halts, _resolve, extract
 from .units import (
     TapeState,
     _halting_reply,
@@ -164,7 +164,7 @@ def diag_solver_alt(x: Program) -> Program:
 # --- the refuters' runs --------------------------------------------------------
 
 
-def _dup_run(x: Program, state: TapeState) -> Outcome:
+def _dup_run(x: Program | RegularThread, state: TapeState) -> Outcome:
     """Run x on the dup unit at this state.  The dup reply is constant, so
     run_total ends in a reply or a proven divergence, never out of fuel."""
     return run_total(x, singleton_family(FOCUS, UnitService(dup_unit(), state)))
@@ -360,7 +360,8 @@ def sweep_dup_decider(max_len: int) -> dict:
     counterexamples = []
     for x in enumerate_programs({"dup"}, max_len):
         decided = decide_halting_dup(x)
-        oracle_answers = [isinstance(_dup_run(x, state), Converged) for state in states]
+        thread = extract(x)
+        oracle_answers = [isinstance(_dup_run(thread, state), Converged) for state in states]
         if all(answer == decided for answer in oracle_answers):
             agree += 1
             continue
@@ -387,13 +388,14 @@ def sweep_empty_halting(max_len: int) -> dict:
     unit = halting_empty_unit()
     blocks = bit_blocks(2)
     words = blocks + [f"{a}:{b}" for a in blocks for b in blocks]
+    inputs = [(state, singleton_family(FOCUS, UnitService(unit, state))) for state in map(at_left, words)]
     agree = disagree = 0
     counterexamples = []
     for y in enumerate_programs({"halting"}, max_len):
-        for word in words:
-            state = at_left(word)
+        thread = extract(y)
+        for state, family in inputs:
             decided = decide_halting_empty_ext(y, state)
-            out = run(y, singleton_family(FOCUS, UnitService(unit, state)), 10_000)
+            out = run(thread, family, 10_000)
             observed = isinstance(out, Converged) if not isinstance(out, FuelExhausted) else None
             if observed is not None and observed == decided:
                 agree += 1

@@ -139,13 +139,19 @@ class Program:
 FOCUS = "f"
 
 
+# The instruction types that carry a basic action.
+_BASIC = frozenset((Plain, PosTest, NegTest))
+
+
 def foreign_action(x: Program, methods: Container[str]) -> BasicInstruction | None:
-    """The first basic action of x that is off ``FOCUS`` or whose method is
-    not in ``methods``; None when x stays inside that program class."""
-    for u in x:
-        if isinstance(u, (Plain, PosTest, NegTest)):
-            if u.action.focus != FOCUS or u.action.method not in methods:
-                return u.action
+    """The first basic action of x, in position order, that is off
+    ``FOCUS`` or whose method is not in ``methods``; None when x stays
+    inside that program class."""
+    for u in x.instructions:
+        if type(u) in _BASIC:
+            action = u.action
+            if action.focus != FOCUS or action.method not in methods:
+                return action
     return None
 
 

@@ -28,6 +28,7 @@ from .program import (
     FwdJump,
     InputError,
     NegTest,
+    Plain,
     PosTest,
     Program,
     TermFalse,
@@ -143,22 +144,49 @@ def _halts(x: Program, first: bool, later: bool) -> bool:
     """Whether x converges when the first basic instruction executed
     replies ``first`` and every later one replies ``later``.
 
-    Execution is a walk over positions: from position 1 follow the
-    successor each reply selects.  Each step depends only on its
-    (position, reply) pair and every reply after the first is
-    ``later``, so a repeated pair means divergence; the walk converges
-    exactly when it ends on !t or !f rather than on a deadlock.
+    Execution is a walk whose state is a position and the reply pending
+    for the next basic instruction.  A jump moves the position and keeps
+    the reply; a basic instruction moves it by one or two, as its test
+    kind and the reply select, and leaves ``later`` pending.  Each step
+    depends only on the state, so a repeated state means divergence.  A
+    cycle of jumps repeats a state too, and it deadlocks, which is not
+    convergence either, so one set of states serves both.  The walk
+    converges exactly when it reaches !t or !f; leaving positions 1..k
+    deadlocks.  It fuses into one loop what ``extract`` does in two
+    steps, the jump chase (``_resolve``) and the successor rule
+    (``_successor``).
     """
-    i = _resolve(x, 1)
+    instructions = x.instructions
+    k = len(instructions)
+    i = 1
     reply = first
-    seen: set[tuple[int, bool]] = set()
-    while isinstance(i, int):
-        if (i, reply) in seen:
+    # A state (i, reply) is the key i when the reply is True, -i if not.
+    seen: set[int] = set()
+    while 1 <= i <= k:
+        key = i if reply else -i
+        if key in seen:
             return False
-        seen.add((i, reply))
-        i = _successor(x, i, reply)
-        reply = later
-    return i != "D"
+        seen.add(key)
+        u = instructions[i - 1]
+        kind = type(u)
+        if kind is Plain:
+            i += 1
+            reply = later
+        elif kind is PosTest:
+            i += 1 if reply else 2
+            reply = later
+        elif kind is NegTest:
+            i += 2 if reply else 1
+            reply = later
+        elif kind is FwdJump:
+            i += u.offset
+        elif kind is BwdJump:
+            i -= u.offset
+        elif kind is TermTrue or kind is TermFalse:
+            return True
+        else:
+            raise TypeError(f"not an instruction: {u!r}")
+    return False
 
 
 def extract(x: Program) -> RegularThread:

@@ -35,9 +35,9 @@ def st_basic(foci=("f",), methods=("m", "test:0")):
     )
 
 
-def st_instruction(foci=("f", "g"), methods=("m", "dup", "test:0")):
+def st_instruction(foci=("f", "g"), methods=("m", "dup", "test:0"), max_offset=7):
     basic = st_basic(foci, methods)
-    offsets = st.integers(min_value=0, max_value=7)
+    offsets = st.integers(min_value=0, max_value=max_offset)
     return st.one_of(
         st.builds(Plain, basic),
         st.builds(PosTest, basic),

@@ -17,6 +17,7 @@ from seqhalt.program import (
     decode,
     encode,
     enumerate_programs,
+    foreign_action,
     parse,
     render,
 )
@@ -110,6 +111,20 @@ def test_program_positions_are_one_based():
     assert x.at(1) == Plain(BasicInstruction("f", "m"))
     assert x.at(2) == TERM_TRUE
     assert len(x) == 2
+
+
+@pytest.mark.parametrize(
+    "text, first",
+    [
+        ("f.dup;+g.dup;-f.m", "g.dup"),
+        ("-f.m;g.dup", "f.m"),
+        ("f.dup;!t;g.dup;f.m", "g.dup"),  # after a terminal, in position order
+        ("!f;#1;\\#2;f.dup", None),
+    ],
+)
+def test_foreign_action_is_the_first_in_position_order(text, first):
+    action = foreign_action(parse(text), ("dup",))
+    assert (None if action is None else str(action)) == first
 
 
 def test_empty_construction_rejected():

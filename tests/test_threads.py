@@ -1,11 +1,25 @@
 import random
+from typing import get_args
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_thread, st_program, unrolled
-from seqhalt.program import BasicInstruction, parse
+from seqhalt.program import (
+    TERM_FALSE,
+    TERM_TRUE,
+    BasicInstruction,
+    BwdJump,
+    FwdJump,
+    Instruction,
+    NegTest,
+    Plain,
+    PosTest,
+    Program,
+    foreign_action,
+    parse,
+)
 from seqhalt.threads import (
     DEADLOCK,
     PostCond,
@@ -14,6 +28,7 @@ from seqhalt.threads import (
     STOP_TRUE,
     TAU,
     TreeNode,
+    _halts,
     bisimilar,
     constant_thread,
     extract,
@@ -199,3 +214,35 @@ def test_closed_system_enforced():
         RegularThread({0: PostCond(FM, 0, 99)}, 0)
     with pytest.raises(ValueError):
         RegularThread({0: STOP_TRUE}, 1)
+
+
+# One instance of every instruction type, placed before !t, with what the
+# walk answers for a first reply of True and of False.
+DISPATCH = [
+    (Plain(FM), True, True),
+    (PosTest(FM), True, False),
+    (NegTest(FM), False, True),
+    (FwdJump(1), True, True),
+    (BwdJump(1), False, False),
+    (TERM_TRUE, True, True),
+    (TERM_FALSE, True, True),
+]
+
+
+def test_dispatch_covers_every_instruction_type():
+    assert {type(u) for u, _, _ in DISPATCH} == set(get_args(Instruction))
+
+
+@pytest.mark.parametrize("u, on_true, on_false", DISPATCH, ids=[type(u).__name__ for u, _, _ in DISPATCH])
+def test_halts_and_foreign_action_dispatch(u, on_true, on_false):
+    x = Program((u, TERM_TRUE))
+    assert _halts(x, True, False) is on_true
+    assert _halts(x, False, True) is on_false
+    action = getattr(u, "action", None)
+    assert foreign_action(x, ()) is action
+    assert foreign_action(x, ("m",)) is None
+
+
+def test_halts_rejects_a_non_instruction():
+    with pytest.raises(TypeError, match="not an instruction"):
+        _halts(Program((FwdJump(1), "f.m", TERM_TRUE)), True, True)
