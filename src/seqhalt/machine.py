@@ -5,28 +5,21 @@ focus and follows the branch the reply selects.  Termination yields the
 delivered boolean and the final family.  Divergence is reported only
 when proven: deadlock, a missing focus, a Divergent reply, or a repeated
 configuration.  One step loop serves both evaluators; they differ only
-in the configuration key.  A run never changes which unit a focus holds
-(a Divergent reply ends it), so the loop keeps only each unit's state.
-``run`` keys on the node plus those unit states, so loops that keep
-growing a state exhaust their fuel instead: the evaluator never claims
-a divergence it cannot prove.  It keeps only an integer digest of each
-configuration, so its memory does not grow with the size of the states
-it has passed.  A digest seen before is only a candidate: the run is
-replayed from its start to find an equal configuration, so a digest
-collision costs time, never an answer.  A run that ends is one that
-never repeated a configuration, since the loop is deterministic, so an
-untraced ``run`` first takes up to ``_PREFIX`` steps keying nothing: if
-the run ends within them, that is its outcome.  Otherwise, or when a
-checkpoint saved at each power-of-two step repeats, which stops a short
-cycle early, the run starts again keyed, so the cycle step and the
-FUEL/CYCLE boundary stay exact.  A traced run is keyed from step 0.
+in the configuration.  A run never changes which unit a focus holds (a
+Divergent reply ends it), so the loop keeps only each unit's state.
+
+``run``'s configuration is the node plus those unit states, so loops
+that keep growing a state exhaust their fuel instead: the evaluator
+never claims a divergence it cannot prove.  It finds a repeated
+configuration by R. P. Brent's cycle finding (see ``_step_loop``), so
+it holds a fixed number of configurations whatever the fuel.
 ``run_total`` keys on the node only, which is sound when every reply
 involved has a declared state-independent value: each node then has a
 fixed successor, so revisiting one closes an infinite loop.
 
 A tau action is stepped like a basic one whose reply is always True,
-without touching a service.  ``run`` reports each step, as it happens,
-to an optional trace hook: one formatted line per step.
+without touching a service.  ``run`` reports each step to an optional
+trace hook: one formatted line per step.
 
 ``derived_operation`` is the partial operation a program induces over a
 unit: one ``run`` against the singleton family holding the unit.
@@ -127,46 +120,42 @@ def _family(family: ServiceFamily, slots: Mapping[str, int], states: Sequence[An
 
 
 # What ``_step_loop`` keys a configuration on: the node alone
-# (``run_total``), a digest of the node and the unit states (``run``), or
-# nothing, in the unkeyed prefix of an untraced ``run``.
-_NODE, _CONFIGURATION, _CHECKPOINT = range(3)
-
-# The most steps an untraced ``run`` takes unkeyed before it starts again,
-# keyed.  A run that ends within them never pays for a key; one that does
-# not pays these steps twice.
-_PREFIX = 1024
-
-# The digest that ``run`` keys each configuration on.  Any function of the
-# configuration will do, since a repeated digest is confirmed by replay.
-_digest = hash
+# (``run_total``), or the node and the unit states, compared with a
+# checkpoint (``run``).
+_NODE, _CHECKPOINT = range(2)
 
 
-def _seen_before(
-    resolved: Mapping[Any, tuple],
-    root: Any,
-    initial: Sequence[Any],
-    steps: int,
-    current: Any,
-    now: Sequence[Any],
-) -> bool:
-    """Whether one of the first ``steps`` configurations of the run from
-    ``root`` and the unit states ``initial`` is ``current`` with the
-    unit states ``now``.
+def _advance(resolved: dict, node: Any, states: list[Any]) -> Any:
+    """The node after ``node``, a resolved ``_STEP`` or ``_TAU`` node,
+    whose step runs on ``states`` in place."""
+    kind, slot, step, then_ref, else_ref = resolved[node]
+    if kind == _STEP:
+        reply, states[slot] = step(states[slot])
+    else:
+        reply = True
+    return then_ref if reply else else_ref
 
-    Replays those steps over ``resolved``, which holds every node they
-    visit, without hashing, tracing or a fuel check.
+
+def _cycle(resolved: dict, start: int, node: Any, states: list[Any], period: int, fuel: int) -> Outcome:
+    """The outcome of a run that enters a cycle of ``period`` steps at
+    some step mu, given its configuration ``(node, states)`` at a step
+    ``start`` <= mu: CYCLE at mu + ``period`` if that is at most
+    ``fuel``, else FUEL at ``fuel``.
+
+    Two walkers step ``period`` steps apart, the lead from its own copy
+    of ``states``, until they meet, which they first do at mu (the
+    second phase of R. P. Brent's cycle finding, BIT 20, 1980).  The
+    replay stops once mu + ``period`` would pass ``fuel``.
     """
-    node, states = root, list(initial)
-    for _ in range(steps):
-        if node == current and states == now:
-            return True
-        kind, slot, step, then_ref, else_ref = resolved[node]
-        if kind == _STEP:
-            reply, states[slot] = step(states[slot])
-        else:  # _TAU: every other kind ends the run before its step.
-            reply = True
-        node = then_ref if reply else else_ref
-    return False
+    lead, ahead = node, list(states)
+    for _ in range(period):
+        lead = _advance(resolved, lead, ahead)
+    for mu in range(start, fuel - period + 1):
+        if node == lead and states == ahead:
+            return ProvenDivergent(DivergenceCause.CYCLE, mu + period)
+        node = _advance(resolved, node, states)
+        lead = _advance(resolved, lead, ahead)
+    return FuelExhausted(fuel)
 
 
 def _step_loop(
@@ -175,32 +164,32 @@ def _step_loop(
     fuel: float,
     trace: Callable[[str], None] | None,
     key: int,
-) -> Outcome | None:
+) -> Outcome:
     """The step loop of both evaluators.
 
     Each focus holding a unit gets a slot with that unit's state; the
     units stay fixed for the run, since a Divergent reply ends it.  A
     configuration is the node plus every slot's state under
-    ``_CONFIGURATION`` and ``_CHECKPOINT``, the node alone under
-    ``_NODE``.  Each visited node is resolved to its slot and step
-    function once.
+    ``_CHECKPOINT``, the node alone under ``_NODE``.  Each visited node
+    is resolved to its slot and step function once.
 
-    Under ``_NODE`` and ``_CONFIGURATION`` a repeated configuration
-    proves a cycle.  ``_CONFIGURATION`` keeps the digest of each
-    configuration in ``seen``; a repeated digest is confirmed by
-    replaying the run from its start: an equal earlier configuration
-    proves the cycle, and none means the digests collided, so the run
-    goes on and claims nothing.
+    Under ``_NODE`` a repeated node proves a cycle.  Under
+    ``_CHECKPOINT`` the loop saves the configuration, the mark, at each
+    power of two below ``fuel`` and at ``fuel``, and compares every
+    step's configuration with it (R. P. Brent, BIT 20, 1980).  A
+    configuration before a cycle never recurs, so a match at step s with
+    the mark of step c proves a cycle of period exactly s - c, and the
+    mark lies on it.  ``_cycle`` then finds where the cycle is entered,
+    replaying from the mark before when its window up to this mark was
+    at least the period long, and so saw the cycle if it lay on it, and
+    from the root otherwise.  A cycle that closes by ``fuel`` passes the
+    mark of ``fuel`` and meets it again within ``fuel`` steps, so no
+    match by step 2 * ``fuel`` is FUEL at ``fuel``; so is a run that ends
+    after step ``fuel``.
 
-    ``_CHECKPOINT`` keys nothing: it is the unkeyed prefix of an
-    untraced ``run``, whose ``fuel`` is at most ``_PREFIX``.  It returns
-    an outcome only when the run ends within that fuel, by termination,
-    deadlock, a missing focus or a Divergent reply; none of those can
-    follow a repeated configuration, so the keyed loop ends the same
-    way.  It returns None, for ``run`` to start again keyed, when the
-    fuel runs out or the configuration equals the one saved at the last
-    power-of-two step.  That checkpoint (R. P. Brent, BIT 20, 1980)
-    stops a short cycle long before ``_PREFIX``.
+    With ``trace``, the loop re-steps a run whose outcome an untraced
+    loop has found: it takes exactly ``fuel`` steps, passing each to
+    ``trace``, saves no mark, and its return value means nothing.
     """
     entries = family.entries
     slots: dict[str, int] = {}
@@ -212,45 +201,50 @@ def _step_loop(
     nodes = thread.nodes
     resolved: dict = {}
     current = thread.root
-    checkpoint, keyed = key == _CHECKPOINT, key == _CONFIGURATION
-    initial = list(states) if keyed else None
+    checkpoint = key == _CHECKPOINT
     steps = 0
     # Under _NODE, one node per step taken, so a step whose node was seen
-    # before leaves the set's size at ``steps``.  Under _CONFIGURATION a
-    # collision also leaves it there, so a repeat is tested by membership.
+    # before leaves the set's size at ``steps``.
     seen: set = set()
-    mark = marked = None
-    next_mark = 1
+    # The node and states saved at step ``mark_step``, and those saved at
+    # the mark before it, at ``before_step``.
+    mark = marked = before = before_states = None
+    mark_step = before_step = 0
+    next_mark = 1 if trace is None else fuel
     while True:
         entry = resolved.get(current)
         if entry is None:
             entry = resolved[current] = _resolve_node(nodes[current], entries, slots)
         kind, slot, step, then_ref, else_ref = entry
         if kind >= _STOP_TRUE:
+            if steps > fuel:
+                return FuelExhausted(fuel)
             if kind == _DEADLOCK:
                 return ProvenDivergent(DivergenceCause.DEADLOCK, steps)
             return Converged(kind == _STOP_TRUE, _family(family, slots, states), steps)
         if checkpoint:
             if current == mark and states == marked:
-                return None
+                period = steps - mark_step
+                # Before the first mark there is none: replay from the root.
+                if before_states is None or mark_step - before_step < period:
+                    before_step, before, before_states = 0, thread.root, [entries[f].state for f in slots]
+                return _cycle(resolved, before_step, before, before_states, period, fuel)
             if steps == next_mark:
-                mark, marked, next_mark = current, list(states), 2 * next_mark
-        elif keyed:
-            digest = _digest((current, *states))
-            if digest not in seen:
-                seen.add(digest)
-            elif _seen_before(resolved, thread.root, initial, steps, current, states):
-                return ProvenDivergent(DivergenceCause.CYCLE, steps)
+                if steps > fuel or trace is not None:
+                    return FuelExhausted(fuel)
+                before_step, before, before_states = mark_step, mark, marked
+                mark_step, mark, marked = steps, current, list(states)
+                next_mark = fuel if steps < fuel <= 2 * steps else 2 * steps
         else:
             seen.add(current)
             if len(seen) == steps:
                 return ProvenDivergent(DivergenceCause.CYCLE, steps)
-        if steps >= fuel:
-            return None if checkpoint else FuelExhausted(steps)
         if kind == _STEP:
             reply, states[slot] = step(states[slot])
         elif kind == _TAU:
             reply = True
+        elif steps >= fuel:
+            return FuelExhausted(fuel)
         elif kind == _MISSING_FOCUS:
             return ProvenDivergent(DivergenceCause.MISSING_FOCUS, steps)
         else:
@@ -272,27 +266,29 @@ def run(
 ) -> Outcome:
     """Small-step execution; deterministic and monotone in fuel.
 
+    A run whose outcome comes at step n, where n is ``fuel`` when the
+    fuel runs out, takes at most 4n steps to find it: up to 2n when it
+    has no outcome by its fuel, fewer than 4n to see a cycle entered at
+    step mu with period lambda, n = mu + lambda.  Finding mu replays at
+    most 2n + 1 steps more.  The run holds a fixed number of
+    configurations whatever the fuel.
+
     ``trace``, when given, is called once per step, in step order and
     before the next step runs, with the line
     ``pc=<node> action=<action> reply=<T|F> state=<family literal>``.
-    A traced run keys its configurations from step 0, so its lines stop
-    at the step that proves a cycle.  An untraced run first takes up to
-    ``_PREFIX`` steps unkeyed, and starts again keyed only if it has not
-    ended by then or its checkpoint repeats; it costs at most
-    ``_PREFIX`` steps more than the keyed run alone.
+    The run is made untraced first; its outcome's steps are then taken
+    again, each passed to ``trace``, so the lines stop at the step of
+    the outcome.
     """
     if isinstance(fuel, bool) or not isinstance(fuel, int):
         raise InputError(f"fuel must be an integer: {fuel!r}")
     if fuel < 1:
         raise InputError("fuel must be at least 1")
     thread = _as_thread(x)
-    if trace is None:
-        # Not ``min``: most runs end within a few steps, and the call
-        # showed in their cost.
-        outcome = _step_loop(thread, family, fuel if fuel < _PREFIX else _PREFIX, None, _CHECKPOINT)
-        if outcome is not None:
-            return outcome
-    return _step_loop(thread, family, fuel, trace, _CONFIGURATION)
+    outcome = _step_loop(thread, family, fuel, None, _CHECKPOINT)
+    if trace is not None:
+        _step_loop(thread, family, outcome.steps, trace, _CHECKPOINT)
+    return outcome
 
 
 def run_total(x: Program | RegularThread, family: ServiceFamily) -> Outcome:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Sequence, Union
+from typing import Container, Iterable, Iterator, Sequence, Union, get_args
 
 _FOCUS_RE = re.compile(r"[a-z][a-z0-9]*\Z")
 # Method names may carry colon-separated selector segments, e.g. "write:0".
@@ -108,17 +108,22 @@ TERM_TRUE = TermTrue()
 TERM_FALSE = TermFalse()
 
 Instruction = Union[Plain, PosTest, NegTest, FwdJump, BwdJump, TermTrue, TermFalse]
+_INSTRUCTIONS = frozenset(get_args(Instruction))
 
 
 @dataclass(frozen=True)
 class Program:
-    """A non-empty tuple of primitive instructions; positions are 1-based."""
+    """A non-empty tuple of primitive instructions; positions are 1-based.
+    Each element's type is exactly one of the instruction types."""
 
     instructions: tuple[Instruction, ...]
 
     def __post_init__(self):
         if not self.instructions:
             raise ProgramSyntaxError("program has no instructions")
+        for u in self.instructions:
+            if type(u) not in _INSTRUCTIONS:
+                raise InputError(f"not an instruction: {u!r}")
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -168,9 +173,7 @@ def _render_one(u: Instruction) -> str:
         return f"\\#{u.offset}"
     if isinstance(u, TermTrue):
         return "!t"
-    if isinstance(u, TermFalse):
-        return "!f"
-    raise TypeError(f"not an instruction: {u!r}")
+    return "!f"  # TermFalse, the one type left
 
 
 def render(x: Program) -> str:

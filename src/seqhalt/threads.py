@@ -182,10 +182,8 @@ def _halts(x: Program, first: bool, later: bool) -> bool:
             i += u.offset
         elif kind is BwdJump:
             i -= u.offset
-        elif kind is TermTrue or kind is TermFalse:
+        else:  # TermTrue or TermFalse: a Program holds instructions only.
             return True
-        else:
-            raise TypeError(f"not an instruction: {u!r}")
     return False
 
 

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_family, random_program
-from seqhalt import machine
 from seqhalt.machine import (
     Converged,
     DivergenceCause,
@@ -160,31 +159,64 @@ class TestRun:
         assert out == FuelExhausted(20_000)
         assert peak < 10 * 2**20
 
-    def test_run_that_ends_within_the_prefix_keys_nothing(self, monkeypatch):
+    def test_flat_memory_whatever_the_fuel(self):
+        # A FUEL run holds a fixed number of configurations.  One set
+        # entry per step, at about 70 bytes each, would pass 3 MB here.
+        x, fam = parse("f.succ;\\#1"), parse_family("f=counter:0")
+        tracemalloc.start()
+        try:
+            out = run(x, fam, 50_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out == FuelExhausted(50_000)
+        assert peak < 2**20
+
+    def test_run_that_ends_takes_each_step_once(self):
         # The counter is back at a node it has visited on every step but
         # the first, with a new state each time.
-        monkeypatch.setattr(machine, "_digest", None)
         calls = []
         out = run(parse("+f.pred;\\#1;!t"), counting_counter_family(500, calls))
         assert (out.reply, out.family.entries["f"].state, out.steps) == (True, 0, 501)
         assert len(calls) == 501
 
-    def test_short_cycle_ends_the_unkeyed_prefix_early(self):
-        # Without the checkpoint, this run would take _PREFIX unkeyed
-        # steps before it started again, keyed.
+    @pytest.mark.parametrize("fuel", [1, 2, 3, 7, 8, 9, 100, 1023, 1024, 1025])
+    def test_fuel_run_takes_at_most_twice_its_fuel(self, fuel):
         calls = []
-        out = run(parse("+f.pred;\\#1;f.setzero;\\#1"), counting_counter_family(3, calls))
-        assert out == ProvenDivergent(DivergenceCause.CYCLE, 5)
-        assert len(calls) <= 40
+        assert run(parse("f.succ;\\#1"), counting_counter_family(0, calls), fuel) == FuelExhausted(fuel)
+        assert len(calls) <= 2 * fuel
 
-    def test_unkeyed_prefix_costs_at_most_its_length(self):
-        # A traced run keys from step 0; its unit steps include those of
-        # the replay that confirms the repeat.
-        x, keyed, unkeyed = parse("+f.pred;\\#1;f.setzero;\\#1"), [], []
-        out = run(x, counting_counter_family(3000, keyed), trace=lambda line: None)
-        assert out == ProvenDivergent(DivergenceCause.CYCLE, 3002)
-        assert run(x, counting_counter_family(3000, unkeyed)) == out
-        assert len(unkeyed) <= len(keyed) + machine._PREFIX + 64
+    @pytest.mark.parametrize(
+        "start", sorted({0, 1, 600} | {max(0, 2**k + d) for k in range(13) for d in (-3, -2, -1, 0, 1)})
+    )
+    def test_cycle_run_work_is_bounded(self, start):
+        # The run enters its cycle at mu = start + 1, with period 1.  It
+        # sees the cycle within 4n steps and finds mu within 2n more.
+        # Replayed from the checkpoint before the cycle, as here, the
+        # whole run takes about 2n unit calls.
+        x, calls = parse("+f.pred;\\#1;f.setzero;\\#1"), []
+        n = start + 2
+        assert run(x, counting_counter_family(start, calls)) == ProvenDivergent(DivergenceCause.CYCLE, n)
+        assert len(calls) <= 2 * n + 1
+
+    @pytest.mark.parametrize("mu, period", [(0, 2), (0, 5), (0, 64), (1, 7), (3, 13), (50, 50), (0, 100)])
+    def test_cycle_closing_at_the_fuel_is_proven(self, mu, period):
+        # The run repeats a configuration at the last step its fuel
+        # allows.  Only the mark saved at step ``fuel`` has a window long
+        # enough to see that cycle.
+        n = mu + period
+        nodes = {i: PostCond(TAU, i + 1, i + 1) for i in range(n - 1)}
+        nodes[n - 1] = PostCond(TAU, mu, mu)
+        thread, fam = RegularThread(nodes, 0), counter_family(0)
+        assert run(thread, fam, n) == ProvenDivergent(DivergenceCause.CYCLE, n)
+        assert run(thread, fam, n - 1) == FuelExhausted(n - 1)
+
+    def test_traced_run_steps_again_once(self):
+        x, untraced, traced, lines = parse("+f.pred;\\#1;f.setzero;\\#1"), [], [], []
+        out = run(x, counting_counter_family(600, untraced))
+        assert run(x, counting_counter_family(600, traced), trace=lines.append) == out
+        assert len(lines) == out.steps
+        assert len(traced) == len(untraced) + out.steps
 
     def test_lying_unit_caught_on_every_path(self):
         liar = FunctionalUnit(

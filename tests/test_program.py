@@ -5,6 +5,7 @@ from conftest import st_program
 from seqhalt.program import (
     BwdJump,
     FwdJump,
+    InputError,
     NOT_AN_ENCODING,
     NegTest,
     Plain,
@@ -130,6 +131,15 @@ def test_foreign_action_is_the_first_in_position_order(text, first):
 def test_empty_construction_rejected():
     with pytest.raises(ProgramSyntaxError, match="program has no instructions"):
         Program(())
+
+
+def test_program_rejects_a_non_instruction():
+    # Every layer then sees instructions only: foreign_action, render,
+    # extract and the fixed-reply walk never meet another element.
+    subclassed = type("LikeTermTrue", (type(TERM_TRUE),), {})()
+    for stray in ("f.m", BasicInstruction("f", "m"), None, subclassed):
+        with pytest.raises(InputError, match="^not an instruction: "):
+            Program((FwdJump(1), stray, TERM_TRUE))
 
 
 def test_enumerate_counts():

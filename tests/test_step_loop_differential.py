@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import frozen_machine
 from conftest import random_thread
-from seqhalt import machine
 from seqhalt.machine import run, run_total
 from seqhalt.program import (
     TERM_FALSE,
@@ -25,7 +24,7 @@ from seqhalt.program import (
     Program,
 )
 from seqhalt.services import EMPTY_SERVICE, ServiceFamily, UnitService
-from seqhalt.threads import TAU, extract
+from seqhalt.threads import TAU, PostCond, RegularThread, extract
 from seqhalt.units import (
     TapeState,
     counter_unit,
@@ -131,21 +130,52 @@ def st_program_or_thread(family):
     return st.one_of(st_program(family).map(extract), st_thread)
 
 
-# Short prefixes make the untraced run start again, keyed, within the
-# fuel drawn: after the prefix's last step, at the fuel, or on a repeat
-# of the configuration saved at a power-of-two step.
+# Fuels at and beside the powers of two, where ``run`` saves the
+# configuration it compares each step with.
+st_checkpoint_fuel = st.builds(lambda k, d: max(1, 2**k + d), st.integers(0, 9), st.integers(-1, 1))
+
+LASSO_ACTIONS = (TAU, *(BasicInstruction("f", m) for m in ("iszero", "setzero", "pred")))
+
+
+def lasso(actions, entry):
+    """A thread of one node per action, each leading to the next whatever
+    the reply, and the last back to node ``entry``: on a counter, runs
+    that enter a cycle after prefixes of many lengths, with many periods."""
+    nodes = {i: PostCond(action, i + 1, i + 1) for i, action in enumerate(actions)}
+    back = entry % len(actions)
+    nodes[len(actions) - 1] = PostCond(actions[-1], back, back)
+    return RegularThread(nodes, 0)
+
+
+st_lasso = st.builds(lasso, st.lists(st.sampled_from(LASSO_ACTIONS), min_size=1, max_size=40), st.integers(0, 39))
+st_counter_family = st.builds(
+    lambda n: ServiceFamily({"f": UnitService(counter_unit(), n)}), st.integers(0, 70)
+)
+
+
+# Lengths of the acyclic prefix of a lasso: the run walks this many
+# nodes once before it enters the cycle it then repeats.
 PREFIXES = [1, 2, 5, 16]
 
 
 @pytest.mark.parametrize("prefix", PREFIXES)
 @settings(deadline=None, max_examples=100)
-@given(data=st.data(), fuel=st_fuel)
+@given(data=st.data(), fuel=st.one_of(st_fuel, st_checkpoint_fuel))
 def test_run_matches_reference_after_a_short_prefix(prefix, data, fuel):
-    family = data.draw(st_family)
-    thread = data.draw(st_program_or_thread(family))
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(machine, "_PREFIX", prefix)
-        assert_run_matches(thread, family, fuel)
+    action = st.sampled_from(LASSO_ACTIONS)
+    walk = data.draw(st.lists(action, min_size=prefix, max_size=prefix))
+    cycle = data.draw(st.lists(action, min_size=1, max_size=24))
+    thread = lasso(walk + cycle, prefix)
+    family = data.draw(st.one_of(st_family, st_counter_family))
+    assert_run_matches(thread, family, fuel)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), fuel=st_checkpoint_fuel)
+def test_run_matches_reference_at_checkpoint_fuels(data, fuel):
+    family = data.draw(st.one_of(st_family, st_counter_family))
+    thread = data.draw(st.one_of(st_program_or_thread(family), st_lasso))
+    assert_run_matches(thread, family, fuel)
 
 
 @pytest.mark.parametrize("methods", [METHODS, CONSTANT_METHODS], ids=["all", "constant"])

@@ -241,8 +241,3 @@ def test_halts_and_foreign_action_dispatch(u, on_true, on_false):
     action = getattr(u, "action", None)
     assert foreign_action(x, ()) is action
     assert foreign_action(x, ("m",)) is None
-
-
-def test_halts_rejects_a_non_instruction():
-    with pytest.raises(TypeError, match="not an instruction"):
-        _halts(Program((FwdJump(1), "f.m", TERM_TRUE)), True, True)
