@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqhalt import cli
+from seqhalt import cli, halting
 from seqhalt.cli import main
+from seqhalt.halting import NotRefuted
 from seqhalt.program import encode, parse
 
 GOLDEN_CLI = Path(__file__).resolve().parent.parent / "benchmarks" / "golden_cli.json"
@@ -53,6 +54,7 @@ def test_internal_error_is_not_usage_error(monkeypatch, capsys, error):
         (["run", "--fuel", "0", "!t", "f=counter:0"], "fuel must be at least 1"),
         (["sweep", "--suite", "diagonal", "--max-len", "0"], "sweep enumeration is guarded at 1 <= --max-len <= 5"),
         (["validate-solver", "g.dup;!t"], "g.dup is not f.dup"),
+        (["check-interpreter", "--sample", "!t", "!t"], "sample must look like PROGRAM@STATE: '!t'"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, message):
@@ -129,6 +131,12 @@ def test_transform_order(capsys):
     assert invoke(capsys, "transform", "--f2d", "--swap", "!t")[1].strip() == "!f"
 
 
+def test_transform_applies_every_op_in_order(capsys):
+    # !t;!f -f2d-> !t;#0 -swap-> !f;#0 -f2d-> #0;#0
+    argv = ["transform", "--f2d", "--swap", "--f2d", "!t;!f", "--json"]
+    assert invoke(capsys, *argv) == (0, '{"program": "#0;#0"}\n', "")
+
+
 def test_encode_decode_round_trip(capsys):
     _, bits, _ = invoke(capsys, "encode", "!t")
     assert bits.strip() == "0010000101110100"
@@ -182,6 +190,32 @@ def test_check_interpreter(capsys):
     assert "fail-apply" in out and "passed=false" in out
 
 
+def test_check_interpreter_text(capsys):
+    argv = ["check-interpreter", "f.dup;!t;!f", "--sample", "!t@|", "--sample", "f.dup;!t@|10"]
+    y0 = "f.dup;f.dup;!f;!t"
+    assert invoke(capsys, *argv) == (
+        1,
+        "sample !t @ |: fail-apply\n"
+        "sample f.dup;!t @ |10: fail-apply\n"
+        f"diagonal {y0} @ |{encode(parse(y0))}: fail-reply\n"
+        "passed=false\n",
+        "",
+    )
+
+
+def test_check_interpreter_json(capsys):
+    argv = ["check-interpreter", "f.dup;!t;!f", "--sample", "!t@|", "--sample", "f.dup;!t@|10", "--json"]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out == (
+        '{"candidate": "f.dup;!t;!f", "diagonal": {"detail": "candidate=True sample=False", '
+        '"program": "f.dup;f.dup;!f;!t", "state": "|' + encode(parse("f.dup;f.dup;!f;!t")) + '", '
+        '"status": "fail-reply"}, "passed": false, "samples": ['
+        '{"detail": "final families differ", "program": "!t", "state": "|", "status": "fail-apply"}, '
+        '{"detail": "final families differ", "program": "f.dup;!t", "state": "|10", "status": "fail-apply"}]}\n'
+    )
+
+
 def test_decide_many_halting_segments(capsys):
     # Each segment answers for the rest of the tape, so the reply flips
     # once per segment; thousands of them must not exhaust the stack.
@@ -200,6 +234,48 @@ def test_sweep_suites(capsys):
     assert json.loads(out)["not-refuted"] == 0
     code, out, _ = invoke(capsys, "sweep", "--suite", "empty-halting", "--max-len", "1")
     assert code == 0 and "disagree=0" in out
+
+
+@pytest.mark.parametrize(
+    "suite, name, wrong, expected",
+    [
+        (
+            "dup-decider",
+            "decide_halting_dup",
+            lambda x: True,
+            "agree=2 disagree=9\n"
+            + "".join(
+                f"counterexample: {{'program': '{x}', 'decider': True, 'oracle': [False, False, False]}}\n"
+                for x in ["f.dup", "+f.dup", "-f.dup", "#0", "#1", "#2", "\\\\#0", "\\\\#1", "\\\\#2"]
+            ),
+        ),
+        (
+            "empty-halting",
+            "decide_halting_empty_ext",
+            lambda y, v: True,
+            "agree=112 disagree=504\n"
+            + "".join(
+                f"counterexample: {{'program': 'f.halting', 'state': '|{w}', 'decider': True, 'evaluation': False}}\n"
+                for w in ["", "0", "1", "00", "01", "10", "11", ":", ":0", ":1"]
+            ),
+        ),
+        (
+            "diagonal",
+            "validate_solver",
+            lambda x, form: NotRefuted(0),
+            "refuted=0 not-refuted=11\n"
+            + "".join(
+                f"counterexample: {x}\n"
+                for x in ["f.dup", "+f.dup", "-f.dup", "!t", "!f", "#0", "#1", "#2", "\\#0", "\\#1"]
+            ),
+        ),
+    ],
+    ids=["dup-decider", "empty-halting", "diagonal"],
+)
+def test_sweep_prints_counterexamples_and_exits_1(capsys, monkeypatch, suite, name, wrong, expected):
+    # A wrong decider, as in test_halting's TestSweepsKeepTenCounterexamples.
+    monkeypatch.setattr(halting, name, wrong)
+    assert invoke(capsys, "sweep", "--suite", suite, "--max-len", "1") == (1, expected, "")
 
 
 def test_sweep_guard(capsys):
