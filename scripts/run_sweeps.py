@@ -14,6 +14,7 @@ import sys
 import time
 
 from seqhalt.cli import main as cli_main
+from seqhalt.halting import SWEEPS
 
 
 def main() -> int:
@@ -22,7 +23,7 @@ def main() -> int:
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args()
     worst = 0
-    for suite in ("dup-decider", "empty-halting", "diagonal"):
+    for suite in SWEEPS:
         argv = ["sweep", "--suite", suite, "--max-len", str(args.max_len)]
         if args.json:
             argv.append("--json")

@@ -22,6 +22,7 @@ import traceback
 from functools import lru_cache
 
 from .halting import (
+    SWEEPS,
     NotRefuted,
     check_interpreter,
     decide_halting_dup,
@@ -29,18 +30,18 @@ from .halting import (
     f2d,
     report_record,
     swap,
-    sweep_diagonal,
-    sweep_dup_decider,
-    sweep_empty_halting,
     validate_solver,
     verdict_record,
 )
 from .machine import Converged, DEFAULT_FUEL, ProvenDivergent, run
 from .program import NOT_AN_ENCODING, InputError, decode, encode, parse, render
-from .services import format_family, parse_family
+from .services import Reply, format_family, parse_family
 from .units import parse_tape
 
+
 def _emit(args, payload: dict, text: str) -> None:
+    """Print a subcommand's result: ``payload`` as JSON under --json, else
+    ``text``, which may run over several lines."""
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -59,12 +60,9 @@ def _cmd_run(args) -> int:
     outcome = run(x, family, args.fuel, print if args.trace else None)
     if isinstance(outcome, Converged):
         literal = format_family(outcome.family)
-        text = ("T" if outcome.reply else "F") + (f" {literal}" if literal else "")
-        payload = {
-            "outcome": "T" if outcome.reply else "F",
-            "family": literal,
-            "steps": outcome.steps,
-        }
+        letter = str(Reply.from_bool(outcome.reply))
+        text = letter + (f" {literal}" if literal else "")
+        payload = {"outcome": letter, "family": literal, "steps": outcome.steps}
     elif isinstance(outcome, ProvenDivergent):
         text = f"D({outcome.cause})"
         payload = {"outcome": "D", "cause": str(outcome.cause), "steps": outcome.steps}
@@ -78,7 +76,7 @@ def _cmd_run(args) -> int:
 def _cmd_transform(args) -> int:
     x = parse(args.program)
     for op in args.ops or []:
-        x = swap(x) if op == "swap" else f2d(x)
+        x = op(x)
     _emit(args, {"program": render(x)}, render(x))
     return 0
 
@@ -91,10 +89,8 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     result = decode(args.bits)
-    if result is NOT_AN_ENCODING:
-        _emit(args, {"program": None}, "NOT-AN-ENCODING")
-        return 0
-    _emit(args, {"program": render(result)}, render(result))
+    program = None if result is NOT_AN_ENCODING else render(result)
+    _emit(args, {"program": program}, program or "NOT-AN-ENCODING")
     return 0
 
 
@@ -102,10 +98,7 @@ def _cmd_decide(args) -> int:
     x = parse(args.program)
     # Parsed for both units, so a bad tape literal is a usage error.
     state = parse_tape(args.state)
-    if args.unit == "dup":
-        answer = decide_halting_dup(x)
-    else:
-        answer = decide_halting_empty_ext(x, state)
+    answer = decide_halting_dup(x) if args.unit == "dup" else decide_halting_empty_ext(x, state)
     _emit(args, {"halts": answer}, str(answer))
     return 0
 
@@ -129,39 +122,23 @@ def _cmd_check_interpreter(args) -> int:
         samples.append((parse(text), parse_tape(literal)))
     report = check_interpreter(x, samples=samples)
     record = report_record(report)
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        for item in record["samples"]:
-            print(f"sample {item['program']} @ {item['state']}: {item['status']}")
-        diag = record["diagonal"]
-        print(f"diagonal {diag['program']} @ {diag['state']}: {diag['status']}")
-        print(f"passed={str(report.passed).lower()}")
+    checks = [("sample", item) for item in record["samples"]] + [("diagonal", record["diagonal"])]
+    lines = [f"{kind} {item['program']} @ {item['state']}: {item['status']}" for kind, item in checks]
+    lines.append(f"passed={str(report.passed).lower()}")
+    _emit(args, record, "\n".join(lines))
     return 0 if report.passed else 1
 
 
 def _cmd_sweep(args) -> int:
     if not 1 <= args.max_len <= 5:
         raise InputError("sweep enumeration is guarded at 1 <= --max-len <= 5")
-    if args.suite == "dup-decider":
-        result = sweep_dup_decider(args.max_len)
-        bad = result["disagree"]
-        text = f"agree={result['agree']} disagree={bad}"
-    elif args.suite == "empty-halting":
-        result = sweep_empty_halting(args.max_len)
-        bad = result["disagree"]
-        text = f"agree={result['agree']} disagree={bad}"
-    else:
-        result = sweep_diagonal(args.max_len)
-        bad = result["not-refuted"]
-        text = f"refuted={result['refuted']} not-refuted={bad}"
-    if args.json:
-        print(json.dumps(result, sort_keys=True))
-    else:
-        print(text)
-        for example in result["counterexamples"]:
-            print(f"counterexample: {example}")
-    return 1 if bad else 0
+    result = SWEEPS[args.suite](args.max_len)
+    # The two counts sit between "suite" and "counterexamples" (see SWEEPS).
+    _, good, bad, _ = result
+    lines = [f"{good}={result[good]} {bad}={result[bad]}"]
+    lines += [f"counterexample: {example}" for example in result["counterexamples"]]
+    _emit(args, result, "\n".join(lines))
+    return 1 if result[bad] else 0
 
 
 @lru_cache(maxsize=1)
@@ -172,12 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
     p = sub.add_parser("parse", help="validate a program and print its canonical form")
     p.add_argument("program")
-    common(p)
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("run", help="execute a program against a service family")
@@ -185,51 +158,46 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", help="family literal, e.g. f=counter:0 (empty string for none)")
     p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     p.add_argument("--trace", action="store_true")
-    common(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("transform", help="apply termination transforms left to right")
-    p.add_argument("--swap", dest="ops", action="append_const", const="swap")
-    p.add_argument("--f2d", dest="ops", action="append_const", const="f2d")
+    p.add_argument("--swap", dest="ops", action="append_const", const=swap)
+    p.add_argument("--f2d", dest="ops", action="append_const", const=f2d)
     p.add_argument("program")
-    common(p)
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("encode", help="bit encoding of a program")
     p.add_argument("program")
-    common(p)
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("decode", help="decode a bit string back to a program")
     p.add_argument("bits")
-    common(p)
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("decide", help="decide halting for the stock decidable units")
     p.add_argument("--unit", choices=("dup", "halting-empty"), required=True)
     p.add_argument("program")
     p.add_argument("state", help="tape literal, e.g. |10:1")
-    common(p)
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("validate-solver", help="refute a claimed halting solver")
     p.add_argument("candidate")
     p.add_argument("--form", choices=("first", "second"), default="first")
-    common(p)
     p.set_defaults(func=_cmd_validate_solver)
 
     p = sub.add_parser("check-interpreter", help="check interpreter agreement and the diagonal")
     p.add_argument("candidate")
     p.add_argument("--sample", action="append", help="PROGRAM@STATE, may repeat")
-    common(p)
     p.set_defaults(func=_cmd_check_interpreter)
 
     p = sub.add_parser("sweep", help="exhaustive agreement sweeps")
-    p.add_argument("--suite", choices=("dup-decider", "empty-halting", "diagonal"), required=True)
+    p.add_argument("--suite", choices=tuple(SWEEPS), required=True)
     p.add_argument("--max-len", type=int, default=3)
-    common(p)
     p.set_defaults(func=_cmd_sweep)
 
+    # Every subcommand takes --json, as its last option.
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 

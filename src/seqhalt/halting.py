@@ -56,7 +56,7 @@ from .program import (
     foreign_action,
     render,
 )
-from .services import UnitService, singleton_family
+from .services import Reply, UnitService, singleton_family
 from .threads import RegularThread, _halts, _resolve, extract
 from .units import (
     TapeState,
@@ -240,34 +240,25 @@ def replay_verdict(x: Program, verdict: SolverVerdict) -> bool:
     return out_x.reply == verdict.claimed and isinstance(out_y, Converged) == verdict.actual
 
 
+_VERDICT_NAMES = {
+    RefutedByDivergence: "refuted-by-divergence",
+    RefutedByWrongReply: "refuted-by-wrong-reply",
+    NotRefuted: "not-refuted",
+}
+
+
 def verdict_record(candidate: Program, verdict: SolverVerdict) -> dict:
-    """Stable, serialisable record of a solver verdict."""
-    record = {
-        "candidate": render(candidate),
-        "verdict": None,
-        "witnessProgram": None,
-        "witnessState": None,
-        "claimed": None,
-        "actual": None,
-        "steps": None,
-    }
-    if isinstance(verdict, RefutedByDivergence):
+    """Stable, serialisable record of a solver verdict; None in each field it lacks."""
+    record = dict.fromkeys(("witnessProgram", "witnessState", "claimed", "actual"))
+    record.update(candidate=render(candidate), verdict=_VERDICT_NAMES[type(verdict)], steps=verdict.steps)
+    if not isinstance(verdict, NotRefuted):
+        record["witnessState"] = format_tape(verdict.witness_state)
+    if isinstance(verdict, RefutedByWrongReply):
         record.update(
-            verdict="refuted-by-divergence",
-            witnessState=format_tape(verdict.witness_state),
-            steps=verdict.steps,
-        )
-    elif isinstance(verdict, RefutedByWrongReply):
-        record.update(
-            verdict="refuted-by-wrong-reply",
             witnessProgram=render(verdict.witness_program),
-            witnessState=format_tape(verdict.witness_state),
-            claimed="T" if verdict.claimed else "F",
+            claimed=str(Reply.from_bool(verdict.claimed)),
             actual="yes" if verdict.actual else "no",
-            steps=verdict.steps,
         )
-    else:
-        record.update(verdict="not-refuted", steps=verdict.steps)
     return record
 
 
@@ -315,13 +306,17 @@ def check_interpreter(
 
     For each sample (y, v) with y converging: the candidate must converge on
     the tape holding y's encoding and v, leave the same final family and
-    deliver the same reply.  The diagonal probe uses y0 = f.dup;swap(x)
-    on its own encoding; a candidate passes only if every check agrees.
+    deliver the same reply.  That tape, ``|encode(y):v``, has no place
+    for v's head, so a sample state with symbols left of the head raises
+    InputError.  The diagonal probe uses y0 = f.dup;swap(x) on its own
+    encoding; a candidate passes only if every check agrees.
     """
     _check_single_method(x, "dup")
     checks = []
     for y, v in samples:
         _check_single_method(y, "dup")
+        if v.left:
+            raise InputError(f"sample state must have its head on the far left: {format_tape(v)!r}")
         checks.append(_check_sample(x, y, v.content))
     y0 = diag_interpreter(x)
     diagonal = _check_sample(x, y0, encode(y0))
@@ -422,3 +417,10 @@ def sweep_diagonal(max_len: int) -> dict:
         if len(counterexamples) < _SHOWN:
             counterexamples.append(render(x))
     return {"suite": "diagonal", "refuted": refuted, "not-refuted": not_refuted, "counterexamples": counterexamples}
+
+
+# Suite name -> sweep, in the order ``seqhalt sweep --suite`` lists them and
+# scripts/run_sweeps.py runs them.  The key order of each result is a contract:
+# "suite", the passes, the failures, "counterexamples"; ``seqhalt sweep`` prints
+# the two counts in that order and exits 1 when the second is non-zero.
+SWEEPS = {"dup-decider": sweep_dup_decider, "empty-halting": sweep_empty_halting, "diagonal": sweep_diagonal}

@@ -188,19 +188,27 @@ def _parse_basic(token: str, position: int) -> BasicInstruction:
     return BasicInstruction(focus, method)
 
 
+def read_natural(text: str) -> int | None:
+    """``text`` read as a decimal natural (no sign, no leading zeros); None if
+    it is none, or has more digits than ``int`` converts."""
+    if not _COUNT_RE.match(text):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # past the digit limit
+        return None
+
+
 def _parse_one(token: str, position: int) -> Instruction:
     if token == "!t":
         return TERM_TRUE
     if token == "!f":
         return TERM_FALSE
-    if token.startswith("\\#"):
-        if not _COUNT_RE.match(token[2:]):
+    if token.startswith(("#", "\\#")):
+        offset = read_natural(token.partition("#")[2])
+        if offset is None:
             raise ProgramSyntaxError(f"bad jump counter in {token!r}", position)
-        return BwdJump(int(token[2:]))
-    if token.startswith("#"):
-        if not _COUNT_RE.match(token[1:]):
-            raise ProgramSyntaxError(f"bad jump counter in {token!r}", position)
-        return FwdJump(int(token[1:]))
+        return FwdJump(offset) if token[0] == "#" else BwdJump(offset)
     if token.startswith("+"):
         return PosTest(_parse_basic(token[1:], position))
     if token.startswith("-"):

@@ -29,7 +29,6 @@ from operator import itemgetter
 from typing import Any, Callable, Mapping
 
 from .program import (
-    _COUNT_RE,
     FOCUS,
     NOT_AN_ENCODING,
     InputError,
@@ -37,6 +36,7 @@ from .program import (
     decode,
     foreign_action,
     parse,
+    read_natural,
 )
 from .threads import _halts
 
@@ -152,9 +152,10 @@ def interface(unit: FunctionalUnit) -> frozenset[str]:
 
 
 def _parse_counter(text: str) -> int:
-    if not _COUNT_RE.match(text):
+    n = read_natural(text)
+    if n is None:
         raise InputError(f"counter state must be a natural number: {text!r}")
-    return int(text)
+    return n
 
 
 def _counter_ops() -> dict[str, MethodOperation]:
@@ -296,16 +297,14 @@ def halting_empty_unit() -> FunctionalUnit:
     return _HALTING_EMPTY
 
 
+# The stock units, each under its own name.
+_UNITS = {unit.name: unit for unit in (_COUNTER, _TAPE_BASIC, _DUP, _HALTING_EMPTY)}
+
+
 def unit_by_name(name: str) -> FunctionalUnit:
-    if name == "counter":
-        return _COUNTER
-    if name == "tapebasic":
-        return _TAPE_BASIC
-    if name == "dup":
-        return _DUP
-    if name == "halting-empty":
-        return _HALTING_EMPTY
-    raise InputError(f"unknown unit {name!r}")
+    if name not in _UNITS:
+        raise InputError(f"unknown unit {name!r}")
+    return _UNITS[name]
 
 
 # --- duplication as a derived operation of the tape-basic unit ------------

@@ -45,6 +45,12 @@ def test_internal_error_is_not_usage_error(monkeypatch, capsys, error):
     assert code == 3 and err.endswith(f"{type(error).__name__}: {error}\n")
 
 
+# A numeral past int()'s default limit of 4300 digits, and the bits of a
+# jump with that counter.
+_LONG = "1" * 5000
+_LONG_JUMP_BITS = "".join(format(byte, "08b") for byte in f"#{_LONG}".encode())
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -55,6 +61,11 @@ def test_internal_error_is_not_usage_error(monkeypatch, capsys, error):
         (["sweep", "--suite", "diagonal", "--max-len", "0"], "sweep enumeration is guarded at 1 <= --max-len <= 5"),
         (["validate-solver", "g.dup;!t"], "g.dup is not f.dup"),
         (["check-interpreter", "--sample", "!t", "!t"], "sample must look like PROGRAM@STATE: '!t'"),
+        (["check-interpreter", "--sample", "!t@1|0", "!t"], "sample state must have its head on the far left: '1|0'"),
+        pytest.param(["parse", f"#{_LONG}"], f"bad jump counter in '#{_LONG}' (at character 0)", id="long-jump"),
+        pytest.param(
+            ["run", "!t", f"f=counter:{_LONG}"], f"counter state must be a natural number: '{_LONG}'", id="long-counter"
+        ),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, message):
@@ -147,6 +158,16 @@ def test_encode_decode_round_trip(capsys):
 def test_decode_non_encoding(capsys):
     code, out, _ = invoke(capsys, "decode", "0000000")
     assert code == 0 and out.strip() == "NOT-AN-ENCODING"
+
+
+def test_long_jump_counter_is_not_an_encoding(capsys):
+    # The oracle answers a segment that encodes no program as it answers
+    # any other: the first halting reply is False.
+    assert invoke(capsys, "decode", _LONG_JUMP_BITS) == (0, "NOT-AN-ENCODING\n", "")
+    argv = ["decide", "--unit", "halting-empty", "f.halting;!t", f"|{_LONG_JUMP_BITS}:"]
+    assert invoke(capsys, *argv) == (0, "True\n", "")
+    argv = ["run", "+f.halting;!t;!f", f"f=halting-empty:|{_LONG_JUMP_BITS}:"]
+    assert invoke(capsys, *argv) == (0, "F f=halting-empty:|\n", "")
 
 
 def test_decide_dup(capsys):

@@ -27,7 +27,7 @@ from seqhalt.halting import (
     validate_solver,
     verdict_record,
 )
-from seqhalt.units import at_left, counter_unit, dup_unit, halting_empty_unit, halting_op_step
+from seqhalt.units import TapeState, at_left, counter_unit, dup_unit, halting_empty_unit, halting_op_step
 
 
 def halting_family(word):
@@ -431,6 +431,11 @@ class TestCheckInterpreter:
         for sample in ("f.mvl;!t", "g.dup;!t"):
             with pytest.raises(InputError, match=f"^{sample[:5]} is not f.dup$"):
                 check_interpreter(parse("!t"), samples=[(parse(sample), at_left(""))])
+
+    def test_sample_head_must_be_on_the_far_left(self):
+        # The candidate reads |encode(y):v, which has no place for v's head.
+        with pytest.raises(InputError, match=r"^sample state must have its head on the far left: '1\|0'$"):
+            check_interpreter(parse("!t"), samples=[(parse("!t"), TapeState("1", "0"))])
 
 
 class TestTransformReplyLaws:

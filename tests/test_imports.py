@@ -207,3 +207,36 @@ def test_bare_value_error_is_found():
         "def c(): raise InputError('x')\ndef d():\n    try: pass\n    except ValueError: raise\n"
     )
     assert bare_value_errors(tree) == [2, 3]
+
+
+def bare_int_calls(tree: ast.Module) -> list[int]:
+    """Lines that call ``int`` on one argument outside ``read_natural``."""
+    reader = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "read_natural"]
+    inside = {id(n) for f in reader for n in ast.walk(f)}
+    return sorted(
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name)
+        and n.func.id == "int"
+        and len(n.args) + len(n.keywords) == 1
+        and id(n) not in inside
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_one_numeral_reader(path):
+    # int() on a decimal string past the digit limit (4300 digits by
+    # default) raises a bare ValueError, which the CLI reports as a bug;
+    # program.read_natural turns it into "no numeral".  A power-of-two
+    # base, as in int(bits, 2), has no digit limit.
+    assert bare_int_calls(ast.parse(path.read_text())) == []
+
+
+def test_bare_int_call_is_found():
+    tree = ast.parse(
+        "def read_natural(t):\n    return int(t)\n"
+        "def a(t): return int(t)\ndef b(t): return int(t, 2)\n"
+        "def c(t): return int(t, base=16)\nn = int('5')\nm = x.int('5')\n"
+    )
+    assert bare_int_calls(tree) == [3, 6]

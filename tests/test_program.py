@@ -101,6 +101,8 @@ def test_decode_inverts_encode(x):
         "+0100001" + "01110100",  # ... a sign
         "0010000101110100\n",  # '$' would match before a trailing newline
         "٠١" * 8,  # ... and non-ASCII digits
+        # "#" and a counter past int()'s default limit of 4300 digits
+        pytest.param("".join(format(byte, "08b") for byte in ("#" + "1" * 5000).encode()), id="long-jump"),
     ],
 )
 def test_decode_rejects_non_encodings(bits):
