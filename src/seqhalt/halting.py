@@ -71,22 +71,19 @@ from .units import (
 # --- termination-behaviour transforms -------------------------------------
 
 
+_SWAPPED = {TermTrue: TERM_FALSE, TermFalse: TERM_TRUE}
+# f2d writes one shared #0 for every !f: instructions are immutable.
+_JUMP_0 = FwdJump(0)
+
+
 def swap(x: Program) -> Program:
     """Exchange !t and !f everywhere; an involution."""
-    out = []
-    for u in x:
-        if isinstance(u, TermTrue):
-            out.append(TERM_FALSE)
-        elif isinstance(u, TermFalse):
-            out.append(TERM_TRUE)
-        else:
-            out.append(u)
-    return Program(tuple(out))
+    return Program(tuple([_SWAPPED.get(type(u), u) for u in x.instructions]))
 
 
 def f2d(x: Program) -> Program:
     """Replace every !f by #0: termination with False becomes deadlock."""
-    return Program(tuple(FwdJump(0) if isinstance(u, TermFalse) else u for u in x))
+    return Program(tuple([_JUMP_0 if type(u) is TermFalse else u for u in x.instructions]))
 
 
 def _check_single_method(x: Program, method: str) -> None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Sequence, Union, get_args
 
@@ -76,22 +77,33 @@ class NegTest:
     action: BasicInstruction
 
 
-@dataclass(frozen=True)
-class FwdJump:
-    offset: int
-
-    def __post_init__(self):
-        if self.offset < 0:
-            raise InputError("jump counter must be a natural number")
+# Every digit limit of int-to-str conversion but 0 (none) is at least this.
+_ALWAYS_CONVERTS = 10**sys.int_info.str_digits_check_threshold
 
 
 @dataclass(frozen=True)
-class BwdJump:
+class _Jump:
+    """A jump counter is an ``int`` (not a bool), at least 0, with no more
+    digits than ``str`` converts, so that it renders and parses back."""
+
     offset: int
 
     def __post_init__(self):
-        if self.offset < 0:
+        offset = self.offset
+        if type(offset) is not int or offset < 0:
             raise InputError("jump counter must be a natural number")
+        if offset >= _ALWAYS_CONVERTS:
+            limit = sys.get_int_max_str_digits()
+            if limit and offset >= 10**limit:
+                raise InputError(f"jump counter has more than {limit} digits")
+
+
+class FwdJump(_Jump):
+    """#l: jump to the l-th next instruction."""
+
+
+class BwdJump(_Jump):
+    """\\#l: jump to the l-th previous instruction."""
 
 
 @dataclass(frozen=True)
@@ -160,25 +172,20 @@ def foreign_action(x: Program, methods: Container[str]) -> BasicInstruction | No
     return None
 
 
-def _render_one(u: Instruction) -> str:
-    if isinstance(u, Plain):
-        return str(u.action)
-    if isinstance(u, PosTest):
-        return f"+{u.action}"
-    if isinstance(u, NegTest):
-        return f"-{u.action}"
-    if isinstance(u, FwdJump):
-        return f"#{u.offset}"
-    if isinstance(u, BwdJump):
-        return f"\\#{u.offset}"
-    if isinstance(u, TermTrue):
-        return "!t"
-    return "!f"  # TermFalse, the one type left
+_TEXT = {
+    Plain: lambda u: str(u.action),
+    PosTest: lambda u: f"+{u.action}",
+    NegTest: lambda u: f"-{u.action}",
+    FwdJump: lambda u: f"#{u.offset}",
+    BwdJump: lambda u: f"\\#{u.offset}",
+    TermTrue: lambda u: "!t",
+    TermFalse: lambda u: "!f",
+}
 
 
 def render(x: Program) -> str:
     """Canonical text: instructions joined by ';', no whitespace."""
-    return ";".join(_render_one(u) for u in x)
+    return ";".join([_TEXT[type(u)](u) for u in x.instructions])
 
 
 def _parse_basic(token: str, position: int) -> BasicInstruction:
@@ -247,7 +254,8 @@ NOT_AN_ENCODING = _Sentinel("NOT_AN_ENCODING")
 
 def encode(x: Program) -> str:
     """Injective bit-string form: MSB-first ASCII bytes of the rendering."""
-    return "".join(format(byte, "08b") for byte in render(x).encode("ascii"))
+    data = render(x).encode("ascii")
+    return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
 
 
 # Whole bytes of ASCII 0s and 1s, nothing after: int(bits, 2) alone would

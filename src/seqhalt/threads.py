@@ -109,35 +109,26 @@ _TERMINAL_IDS = {"D": DEADLOCK, "S+": STOP_TRUE, "S-": STOP_FALSE}
 
 def _resolve(x: Program, i: int) -> NodeId:
     """Chase jumps from position i to a basic instruction or terminal."""
-    k = len(x)
+    instructions = x.instructions
+    k = len(instructions)
     seen: set[int] = set()
     while True:
-        if not 1 <= i <= k:
+        if not 1 <= i <= k or i in seen:
             return "D"
-        if i in seen:
-            return "D"
-        u = x.at(i)
-        if isinstance(u, FwdJump):
+        u = instructions[i - 1]
+        kind = type(u)
+        if kind is FwdJump:
             seen.add(i)
             i += u.offset
-        elif isinstance(u, BwdJump):
+        elif kind is BwdJump:
             seen.add(i)
-            i = max(i - u.offset, 0)
-        elif isinstance(u, TermTrue):
+            i -= u.offset
+        elif kind is TermTrue:
             return "S+"
-        elif isinstance(u, TermFalse):
+        elif kind is TermFalse:
             return "S-"
         else:
             return i
-
-
-def _successor(x: Program, i: int, reply: bool) -> NodeId:
-    """Where execution goes after the basic instruction at position i gets
-    this reply: the next position, or the one after it when a test's
-    reply says skip (False for +f.m, True for -f.m), with jumps chased."""
-    u = x.at(i)
-    skip = (isinstance(u, PosTest) and not reply) or (isinstance(u, NegTest) and reply)
-    return _resolve(x, i + 1 + skip)
 
 
 def _halts(x: Program, first: bool, later: bool) -> bool:
@@ -153,8 +144,7 @@ def _halts(x: Program, first: bool, later: bool) -> bool:
     convergence either, so one set of states serves both.  The walk
     converges exactly when it reaches !t or !f; leaving positions 1..k
     deadlocks.  It fuses into one loop what ``extract`` does in two
-    steps, the jump chase (``_resolve``) and the successor rule
-    (``_successor``).
+    steps, the jump chase (``_resolve``) and the successor rule.
     """
     instructions = x.instructions
     k = len(instructions)
@@ -189,7 +179,9 @@ def _halts(x: Program, first: bool, later: bool) -> bool:
 
 def extract(x: Program) -> RegularThread:
     """Behaviour graph of a program: one node per reachable basic
-    instruction plus the terminals it reaches."""
+    instruction plus the terminals it reaches.  The successor rule: from
+    position i, +f.m goes near (i + 1, jumps chased) on True and far
+    (i + 2) on False, -f.m the other way round, f.m near on either."""
     root = _resolve(x, 1)
     nodes: dict[NodeId, ThreadNode] = {}
     todo = [root]
@@ -197,10 +189,13 @@ def extract(x: Program) -> RegularThread:
         ref = todo.pop()
         if ref in nodes:
             continue
-        if isinstance(ref, str):
+        if type(ref) is str:
             nodes[ref] = _TERMINAL_IDS[ref]
             continue
-        node = PostCond(x.at(ref).action, _successor(x, ref, True), _successor(x, ref, False))
+        u = x.instructions[ref - 1]  # a basic instruction: _resolve stops only there
+        near = _resolve(x, ref + 1)
+        far = near if type(u) is Plain else _resolve(x, ref + 2)
+        node = PostCond(u.action, far, near) if type(u) is NegTest else PostCond(u.action, near, far)
         nodes[ref] = node
         todo += [node.then_ref, node.else_ref]
     return RegularThread(nodes, root)

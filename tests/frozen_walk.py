@@ -1,15 +1,19 @@
-"""A frozen copy of the original fixed-reply walk, the reference for the
-differential tests of ``threads._halts``.
+"""Frozen copies of the original fixed-reply walk and of the original
+``extract``, the references for the differential tests of
+``threads._halts`` and ``threads.extract``.
 
-It chases jumps with a separate ``_resolve`` and picks each successor
-with ``_successor``, keeping (position, reply) pairs of basic
-instructions only.  Do not speed it up: its value is that it stays as it
-was written.
+Both chase jumps with a separate ``_resolve`` and pick each successor
+with ``_successor``; the walk keeps (position, reply) pairs of basic
+instructions only.  Do not speed them up: their value is that they stay
+as they were written.
 """
 
 from __future__ import annotations
 
 from seqhalt.program import BwdJump, FwdJump, NegTest, PosTest, Program, TermFalse, TermTrue
+from seqhalt.threads import DEADLOCK, STOP_FALSE, STOP_TRUE, PostCond, RegularThread
+
+_TERMINAL_IDS = {"D": DEADLOCK, "S+": STOP_TRUE, "S-": STOP_FALSE}
 
 
 def _resolve(x: Program, i: int):
@@ -53,3 +57,20 @@ def halts(x: Program, first: bool, later: bool) -> bool:
         i = _successor(x, i, reply)
         reply = later
     return i != "D"
+
+
+def extract(x: Program) -> RegularThread:
+    root = _resolve(x, 1)
+    nodes = {}
+    todo = [root]
+    while todo:
+        ref = todo.pop()
+        if ref in nodes:
+            continue
+        if isinstance(ref, str):
+            nodes[ref] = _TERMINAL_IDS[ref]
+            continue
+        node = PostCond(x.at(ref).action, _successor(x, ref, True), _successor(x, ref, False))
+        nodes[ref] = node
+        todo += [node.then_ref, node.else_ref]
+    return RegularThread(nodes, root)

@@ -6,8 +6,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_args
 
 import pytest
+
+from seqhalt.program import Instruction
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "seqhalt"
 # The package's __init__ imports names only to re-export them.
@@ -240,3 +243,37 @@ def test_bare_int_call_is_found():
         "def c(t): return int(t, base=16)\nn = int('5')\nm = x.int('5')\n"
     )
     assert bare_int_calls(tree) == [3, 6]
+
+
+INSTRUCTION_TYPES = {t.__name__ for t in get_args(Instruction)}
+
+
+def instruction_isinstance_calls(tree: ast.Module) -> list[int]:
+    """Lines that call ``isinstance`` with an instruction type, alone or
+    in a tuple, by name or as a module attribute."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1]
+            for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+                if getattr(kind, "id", getattr(kind, "attr", None)) in INSTRUCTION_TYPES:
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_instruction_types_dispatch_on_exact_type(path):
+    # Program.__post_init__ admits only elements whose exact type is an
+    # instruction type, so ``type(u) is ...`` and type-keyed tables are
+    # sound, and one way to dispatch is kept.
+    assert instruction_isinstance_calls(ast.parse(path.read_text())) == []
+
+
+def test_instruction_isinstance_call_is_found():
+    tree = ast.parse(
+        "from seqhalt import program\n"
+        "a = isinstance(u, Plain)\nb = isinstance(u, (PosTest, str))\n"
+        "c = isinstance(u, program.TermFalse)\nd = isinstance(u, PostCond)\n"
+        "e = type(u) is FwdJump\nf = isinstance(u, (Tau, BwdJump)) or isinstance(u, NegTest)\n"
+    )
+    assert instruction_isinstance_calls(tree) == [2, 3, 4, 7]

@@ -1,5 +1,7 @@
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import st_program
 from seqhalt.program import (
@@ -107,6 +109,47 @@ def test_decode_inverts_encode(x):
 )
 def test_decode_rejects_non_encodings(bits):
     assert decode(bits) is NOT_AN_ENCODING
+
+
+# The largest counter ``str`` converts: as many nines as the digit limit.
+_LONGEST = 10 ** sys.get_int_max_str_digits() - 1
+
+
+@pytest.mark.parametrize("jump", [FwdJump, BwdJump])
+@pytest.mark.parametrize(
+    "counter",
+    [-1, -_LONGEST - 1, True, False, 1.5, 2.0, "3", None, _LONGEST + 1],
+    ids=["negative", "long-negative", "true", "false", "float", "integral-float", "str", "none", "past-digit-limit"],
+)
+def test_jump_rejects_a_counter_that_does_not_parse_back(jump, counter):
+    # A bool or a float would render as "#True" or "#1.5", which decode
+    # answers NOT_AN_ENCODING; a counter past the limit would make render
+    # raise a bare ValueError in str().
+    with pytest.raises(InputError, match="^jump counter "):
+        jump(counter)
+
+
+@given(st.sampled_from([FwdJump, BwdJump]), st.one_of(st.integers(0, 10**6), st.integers(0, _LONGEST)))
+def test_every_accepted_jump_round_trips(jump, counter):
+    x = Program((jump(counter),))
+    assert parse(render(x)) == x
+    assert decode(encode(x)) == x
+
+
+@pytest.mark.parametrize("limit", [0, 640, sys.get_int_max_str_digits(), 5000])
+def test_jump_counter_follows_the_digit_limit_in_force(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        # 640 digits is the lowest limit there can be; 0 means none.
+        for counter in [10**640 - 1, 10**limit - 1] if limit else [10**640, 10**5000]:
+            x = Program((BwdJump(counter),))
+            assert parse(render(x)) == x
+        if limit:
+            with pytest.raises(InputError, match=f"more than {limit} digits"):
+                BwdJump(10**limit)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_program_positions_are_one_based():
