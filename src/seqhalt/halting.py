@@ -24,7 +24,8 @@ focus ``program.FOCUS``, which is ``f``, the focus of the diagonal's
 leading ``f.dup``.  The refuters reject a program with any other basic
 instruction.  They run every program with ``run_total`` on the dup unit,
 without fuel: the dup reply is always True, so each run ends in a reply
-or a proven divergence.
+or a proven divergence.  The tapes they build from encodings skip the
+symbol check (``_encoded_tape``): ``encode`` writes only 0s and 1s.
 """
 
 from __future__ import annotations
@@ -56,11 +57,12 @@ from .program import (
     foreign_action,
     render,
 )
-from .services import Reply, UnitService, singleton_family
+from .services import Reply, ServiceFamily, UnitService, singleton_family
 from .threads import RegularThread, _halts, _resolve, extract
 from .units import (
     TapeState,
     _halting_reply,
+    _tape,
     at_left,
     dup_unit,
     format_tape,
@@ -138,24 +140,25 @@ def decide_halting_empty_ext(x: Program, state: TapeState) -> bool:
 # --- diagonal constructions -------------------------------------------------
 
 
-def _dup_prefixed(x: Program) -> Program:
-    return Program((Plain(BasicInstruction(FOCUS, "dup")),) + x.instructions)
+# The diagonals' one shared f.dup, and f2d(swap(x)) as one table.
+_LEADING_DUP = Plain(BasicInstruction(FOCUS, "dup"))
+_SOLVER_DIAGONAL = {TermTrue: _JUMP_0, TermFalse: TERM_TRUE}
 
 
 def diag_interpreter(x: Program) -> Program:
     """Diagonal input for an interpreter candidate: f.dup ; swap(x)."""
-    return _dup_prefixed(swap(x))
+    return Program((_LEADING_DUP, *[_SWAPPED.get(type(u), u) for u in x.instructions]))
 
 
 def diag_solver(x: Program) -> Program:
     """Diagonal witness against a solver candidate: f.dup ; f2d(swap(x))."""
-    return _dup_prefixed(f2d(swap(x)))
+    return Program((_LEADING_DUP, *[_SOLVER_DIAGONAL.get(type(u), u) for u in x.instructions]))
 
 
 def diag_solver_alt(x: Program) -> Program:
-    """Second construction: f2d(swap(f.dup ; x)).  Extensionally the same
-    program as :func:`diag_solver`, since the transforms fix f.dup."""
-    return f2d(swap(_dup_prefixed(x)))
+    """Second construction, composed literally: f2d(swap(f.dup ; x)).  The
+    same program as :func:`diag_solver`, since the transforms fix f.dup."""
+    return f2d(swap(Program((_LEADING_DUP, *x.instructions))))
 
 
 # --- the refuters' runs --------------------------------------------------------
@@ -164,7 +167,13 @@ def diag_solver_alt(x: Program) -> Program:
 def _dup_run(x: Program | RegularThread, state: TapeState) -> Outcome:
     """Run x on the dup unit at this state.  The dup reply is constant, so
     run_total ends in a reply or a proven divergence, never out of fuel."""
-    return run_total(x, singleton_family(FOCUS, UnitService(dup_unit(), state)))
+    return run_total(x, ServiceFamily({FOCUS: UnitService(dup_unit(), state)}))
+
+
+def _encoded_tape(*words: str) -> TapeState:
+    """``|w1:w2:...`` without the symbol check: each word is an encoding,
+    all 0s and 1s, or the content of a state already checked."""
+    return _tape(("", ":".join(words)))
 
 
 # --- solver validation -------------------------------------------------------
@@ -208,8 +217,8 @@ def validate_solver(x: Program, form: str = "first") -> SolverVerdict:
         raise InputError(f"form must be 'first' or 'second', not {form!r}")
     y = builder(x)
     ybar = encode(y)
-    diagonal_state = at_left(f"{ybar}:{ybar}")
-    y_state = at_left(ybar)
+    diagonal_state = _encoded_tape(ybar, ybar)
+    y_state = _encoded_tape(ybar)
     out_x = _dup_run(x, diagonal_state)
     if isinstance(out_x, ProvenDivergent):
         return RefutedByDivergence(diagonal_state, out_x.steps)
@@ -230,7 +239,7 @@ def replay_verdict(x: Program, verdict: SolverVerdict) -> bool:
         return isinstance(_dup_run(x, verdict.witness_state), ProvenDivergent)
     y = verdict.witness_program
     ybar = encode(y)
-    out_x = _dup_run(x, at_left(f"{ybar}:{ybar}"))
+    out_x = _dup_run(x, _encoded_tape(ybar, ybar))
     if isinstance(out_x, ProvenDivergent):
         return False
     out_y = _dup_run(y, verdict.witness_state)
@@ -278,12 +287,13 @@ class InterpreterReport:
     passed: bool
 
 
-def _check_sample(x: Program, y: Program, word: str) -> SampleCheck:
-    y_state = at_left(word)
+def _check_sample(x: Program, y: Program, word: str, ybar: str | None = None) -> SampleCheck:
+    y_state = _encoded_tape(word)
     out_y = _dup_run(y, y_state)
     if isinstance(out_y, ProvenDivergent):
         return SampleCheck(y, y_state, "skipped-divergent", "sample program diverges")
-    x_state = at_left(f"{encode(y)}:{word}")
+    # A sample is encoded only here, once it is known to converge.
+    x_state = _encoded_tape(encode(y) if ybar is None else ybar, word)
     out_x = _dup_run(x, x_state)
     if isinstance(out_x, ProvenDivergent):
         return SampleCheck(y, y_state, "fail-convergence", "candidate diverges on encoded input")
@@ -316,7 +326,7 @@ def check_interpreter(
             raise InputError(f"sample state must have its head on the far left: {format_tape(v)!r}")
         checks.append(_check_sample(x, y, v.content))
     y0 = diag_interpreter(x)
-    diagonal = _check_sample(x, y0, encode(y0))
+    diagonal = _check_sample(x, y0, y0bar := encode(y0), y0bar)
     passed = diagonal.status == "ok" and all(c.status == "ok" for c in checks)
     return InterpreterReport(x, tuple(checks), diagonal, passed)
 

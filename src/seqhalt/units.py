@@ -8,9 +8,9 @@ space of strings over {0,1,:} split around a head position, written
 ``1:0`` with nothing to its left); a tape state is the tuple
 ``(left, right)``, so it equals and hashes like that bare tuple and
 orders lexicographically.  ``TapeState(...)``, ``at_left`` and
-``parse_tape`` reject non-strings and other symbols; the tape
-operations build their successor states unchecked, since they only
-move, copy or write symbols already on the tape or in the alphabet.
+``parse_tape`` reject non-strings and other symbols.  ``_tape`` skips
+the check, for the tape operations (they only move, copy or write
+alphabet symbols) and ``halting._encoded_tape`` (0s and 1s) only.
 
 The stock units are the four-operation counter, the single-operation
 duplication unit, the tape-basic unit whose operations are the
@@ -74,8 +74,8 @@ class TapeState(tuple):
 
 
 # A ``TapeState`` from its ``(left, right)`` pair without the symbol
-# check, for the tape operations: they only move, copy or write alphabet
-# symbols.
+# check, for the tape operations and ``halting._encoded_tape`` only; see
+# the module docstring.
 _tape = partial(tuple.__new__, TapeState)
 
 

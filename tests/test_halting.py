@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,12 @@ from seqhalt.halting import (
     verdict_record,
 )
 from seqhalt.units import TapeState, at_left, counter_unit, dup_unit, halting_empty_unit, halting_op_step
+
+
+# Every dup program up to length 3: the candidates of the exhaustive checks.
+DUP_CANDIDATES = list(enumerate_programs({"dup"}, 3))
+# The largest jump counter ``str`` converts: as many nines as the digit limit.
+_LONGEST = 10 ** sys.get_int_max_str_digits() - 1
 
 
 def halting_family(word):
@@ -320,6 +327,16 @@ class TestDiagonals:
         assert len(diag_solver(x)) == len(x) + 1
         assert diag_solver(x) == diag_solver_alt(x)
 
+    def test_one_pass_diagonals_match_their_definitions(self):
+        # The references are built from the public transforms, so a wrong
+        # entry in a diagonal's own table shows here.
+        dup = parse("f.dup;!t").instructions[:1]
+        assert len(DUP_CANDIDATES) == 3615
+        for x in DUP_CANDIDATES:
+            assert diag_solver(x) == Program(dup + f2d(swap(x)).instructions)
+            assert diag_interpreter(x) == Program(dup + swap(x).instructions)
+            assert diag_solver(x) == diag_solver_alt(x)
+
 
 class TestRunTotal:
     def test_agrees_with_run_on_convergent_programs(self):
@@ -436,6 +453,40 @@ class TestCheckInterpreter:
         # The candidate reads |encode(y):v, which has no place for v's head.
         with pytest.raises(InputError, match=r"^sample state must have its head on the far left: '1\|0'$"):
             check_interpreter(parse("!t"), samples=[(parse("!t"), TapeState("1", "0"))])
+
+
+class TestEncodedTapes:
+    """The refuters build the tapes they write encodings on without the
+    symbol check; these pin what that rests on."""
+
+    @given(st_program(foci=("f", "g", "h2"), methods=("dup", "halting", "write:colon", "test:0"), max_offset=_LONGEST))
+    def test_encodings_are_bits(self, x):
+        assert set(encode(x)) <= {"0", "1"}
+
+    def test_every_refuter_tape_is_a_checked_tape(self, monkeypatch):
+        states = []
+        dup_run = halting._dup_run
+
+        def recording(x, state):
+            states.append(state)
+            return dup_run(x, state)
+
+        monkeypatch.setattr(halting, "_dup_run", recording)
+        witnesses = []
+        for x in DUP_CANDIDATES:
+            for form in ("first", "second"):
+                verdict = validate_solver(x, form=form)
+                assert replay_verdict(x, verdict)
+                witnesses.append(verdict.witness_state)
+            report = check_interpreter(x, samples=[(x, at_left("10:1"))])
+            witnesses += [report.samples[0].state, report.diagonal.state]
+        # Every candidate up to length 3 is refuted, so each verdict has a
+        # witness state; the recorded ones are every state a refuter ran.
+        assert len(states) > len(witnesses)
+        for state in witnesses + states:
+            checked = at_left(state.right)
+            assert type(state) is TapeState
+            assert state == checked and hash(state) == hash(checked)
 
 
 class TestTransformReplyLaws:

@@ -277,3 +277,35 @@ def test_instruction_isinstance_call_is_found():
         "e = type(u) is FwdJump\nf = isinstance(u, (Tau, BwdJump)) or isinstance(u, NegTest)\n"
     )
     assert instruction_isinstance_calls(tree) == [2, 3, 4, 7]
+
+
+def unchecked_tape_uses(tree: ast.Module, helper: str | None) -> list[int]:
+    """Lines that read ``_tape``, by name or as ``units._tape``, outside
+    the function named ``helper``."""
+    inside = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == helper for n in ast.walk(f)}
+    return sorted(
+        n.lineno
+        for n in ast.walk(tree)
+        if (isinstance(n, ast.Name) and n.id == "_tape" or isinstance(n, ast.Attribute) and n.attr == "_tape")
+        and id(n) not in inside
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "units.py"], ids=lambda p: p.name)
+def test_unchecked_tapes_only_from_encodings(path):
+    # units._tape skips TapeState's symbol check.  Outside units.py only
+    # halting._encoded_tape may call it, on words that are program
+    # encodings (0s and 1s) or contents of checked states.
+    helper = "_encoded_tape" if path.name == "halting.py" else None
+    assert unchecked_tape_uses(ast.parse(path.read_text()), helper) == []
+
+
+def test_unchecked_tape_use_is_found():
+    tree = ast.parse(
+        "from seqhalt import units\nfrom seqhalt.units import _tape\n"
+        "def _encoded_tape(w): return _tape(('', w))\n"
+        "a = _tape(('', '2'))\nb = units._tape(('', '2'))\nc = map(_tape, [])\n"
+        "def d(w):\n    return _tape(('', w))\ne = tape(('', '2'))\n"
+    )
+    assert unchecked_tape_uses(tree, "_encoded_tape") == [4, 5, 6, 8]
+    assert unchecked_tape_uses(tree, None) == [3, 4, 5, 6, 8]
