@@ -287,13 +287,12 @@ class InterpreterReport:
     passed: bool
 
 
-def _check_sample(x: Program, y: Program, word: str, ybar: str | None = None) -> SampleCheck:
+def _check_sample(x: Program, y: Program, ybar: str, word: str) -> SampleCheck:
     y_state = _encoded_tape(word)
     out_y = _dup_run(y, y_state)
     if isinstance(out_y, ProvenDivergent):
         return SampleCheck(y, y_state, "skipped-divergent", "sample program diverges")
-    # A sample is encoded only here, once it is known to converge.
-    x_state = _encoded_tape(encode(y) if ybar is None else ybar, word)
+    x_state = _encoded_tape(ybar, word)
     out_x = _dup_run(x, x_state)
     if isinstance(out_x, ProvenDivergent):
         return SampleCheck(y, y_state, "fail-convergence", "candidate diverges on encoded input")
@@ -324,9 +323,10 @@ def check_interpreter(
         _check_single_method(y, "dup")
         if v.left:
             raise InputError(f"sample state must have its head on the far left: {format_tape(v)!r}")
-        checks.append(_check_sample(x, y, v.content))
+        checks.append(_check_sample(x, y, encode(y), v.content))
     y0 = diag_interpreter(x)
-    diagonal = _check_sample(x, y0, y0bar := encode(y0), y0bar)
+    y0bar = encode(y0)
+    diagonal = _check_sample(x, y0, y0bar, y0bar)
     passed = diagonal.status == "ok" and all(c.status == "ok" for c in checks)
     return InterpreterReport(x, tuple(checks), diagonal, passed)
 

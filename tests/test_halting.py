@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +32,6 @@ from seqhalt.units import TapeState, at_left, counter_unit, dup_unit, halting_em
 
 # Every dup program up to length 3: the candidates of the exhaustive checks.
 DUP_CANDIDATES = list(enumerate_programs({"dup"}, 3))
-# The largest jump counter ``str`` converts: as many nines as the digit limit.
-_LONGEST = 10 ** sys.get_int_max_str_digits() - 1
 
 
 def halting_family(word):
@@ -458,10 +455,6 @@ class TestCheckInterpreter:
 class TestEncodedTapes:
     """The refuters build the tapes they write encodings on without the
     symbol check; these pin what that rests on."""
-
-    @given(st_program(foci=("f", "g", "h2"), methods=("dup", "halting", "write:colon", "test:0"), max_offset=_LONGEST))
-    def test_encodings_are_bits(self, x):
-        assert set(encode(x)) <= {"0", "1"}
 
     def test_every_refuter_tape_is_a_checked_tape(self, monkeypatch):
         states = []

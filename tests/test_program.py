@@ -133,6 +133,8 @@ def test_jump_rejects_a_counter_that_does_not_parse_back(jump, counter):
 def test_every_accepted_jump_round_trips(jump, counter):
     x = Program((jump(counter),))
     assert parse(render(x)) == x
+    # The refuters write encodings on tapes unchecked: only 0s and 1s.
+    assert set(encode(x)) <= {"0", "1"}
     assert decode(encode(x)) == x
 
 
