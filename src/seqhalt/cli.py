@@ -22,6 +22,7 @@ import traceback
 from functools import lru_cache
 
 from .halting import (
+    FORMS,
     SWEEPS,
     NotRefuted,
     check_interpreter,
@@ -182,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-solver", help="refute a claimed halting solver")
     p.add_argument("candidate")
-    p.add_argument("--form", choices=("first", "second"), default="first")
+    p.add_argument("--form", choices=tuple(FORMS), default="first")
     p.set_defaults(func=_cmd_validate_solver)
 
     p = sub.add_parser("check-interpreter", help="check interpreter agreement and the diagonal")

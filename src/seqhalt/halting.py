@@ -33,14 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .machine import (
-    Converged,
-    FuelExhausted,
-    Outcome,
-    ProvenDivergent,
-    run,
-    run_total,
-)
+from .machine import Converged, Outcome, ProvenDivergent, converges, run_total
 from .program import (
     FOCUS,
     BasicInstruction,
@@ -161,6 +154,11 @@ def diag_solver_alt(x: Program) -> Program:
     return f2d(swap(Program((_LEADING_DUP, *x.instructions))))
 
 
+# Form name -> diagonal construction, read by ``validate_solver``,
+# ``sweep_diagonal`` and the CLI's ``--form``.
+FORMS = {"first": diag_solver, "second": diag_solver_alt}
+
+
 # --- the refuters' runs --------------------------------------------------------
 
 
@@ -212,9 +210,9 @@ def validate_solver(x: Program, form: str = "first") -> SolverVerdict:
     its own diagonal correctly; ``steps`` counts both runs.
     """
     _check_single_method(x, "dup")
-    builder = {"first": diag_solver, "second": diag_solver_alt}.get(form)
+    builder = FORMS.get(form)
     if builder is None:
-        raise InputError(f"form must be 'first' or 'second', not {form!r}")
+        raise InputError(f"form must be {' or '.join(map(repr, FORMS))}, not {form!r}")
     y = builder(x)
     ybar = encode(y)
     diagonal_state = _encoded_tape(ybar, ybar)
@@ -397,8 +395,7 @@ def sweep_empty_halting(max_len: int) -> dict:
         thread = extract(y)
         for state, family in inputs:
             decided = decide_halting_empty_ext(y, state)
-            out = run(thread, family, 10_000)
-            observed = isinstance(out, Converged) if not isinstance(out, FuelExhausted) else None
+            observed = converges(thread, family, 10_000)
             if observed is not None and observed == decided:
                 agree += 1
                 continue
@@ -416,7 +413,7 @@ def sweep_diagonal(max_len: int) -> dict:
     refuted = not_refuted = 0
     counterexamples = []
     for x in enumerate_programs({"dup"}, max_len):
-        verdicts = [validate_solver(x, form=form) for form in ("first", "second")]
+        verdicts = [validate_solver(x, form=form) for form in FORMS]
         if not any(isinstance(v, NotRefuted) for v in verdicts):
             refuted += 1
             continue

@@ -18,8 +18,9 @@ involved has a declared state-independent value: each node then has a
 fixed successor, so revisiting one closes an infinite loop.
 
 A tau action is stepped like a basic one whose reply is always True,
-without touching a service.  ``run`` reports each step to an optional
-trace hook: one formatted line per step.
+without touching a service.  ``run`` passes an optional trace hook one
+formatted line per step, by replaying the run's steps through
+``services.service_step`` once its outcome is known.
 
 ``derived_operation`` is the partial operation a program induces over a
 unit: one ``run`` against the singleton family holding the unit.
@@ -39,6 +40,7 @@ from .services import (
     UnitService,
     empty_family,
     format_family,
+    service_step,
     singleton_family,
 )
 from .threads import PostCond, RegularThread, StopFalse, StopTrue, Tau, ThreadNode, extract
@@ -119,12 +121,6 @@ def _family(family: ServiceFamily, slots: Mapping[str, int], states: Sequence[An
     return ServiceFamily(entries)
 
 
-# What ``_step_loop`` keys a configuration on: the node alone
-# (``run_total``), or the node and the unit states, compared with a
-# checkpoint (``run``).
-_NODE, _CHECKPOINT = range(2)
-
-
 def _advance(resolved: dict, node: Any, states: list[Any]) -> Any:
     """The node after ``node``, a resolved ``_STEP`` or ``_TAU`` node,
     whose step runs on ``states`` in place."""
@@ -158,23 +154,18 @@ def _cycle(resolved: dict, start: int, node: Any, states: list[Any], period: int
     return FuelExhausted(fuel)
 
 
-def _step_loop(
-    thread: RegularThread,
-    family: ServiceFamily,
-    fuel: float,
-    trace: Callable[[str], None] | None,
-    key: int,
-) -> Outcome:
+def _step_loop(thread: RegularThread, family: ServiceFamily, fuel: float) -> Outcome:
     """The step loop of both evaluators.
 
     Each focus holding a unit gets a slot with that unit's state; the
     units stay fixed for the run, since a Divergent reply ends it.  A
-    configuration is the node plus every slot's state under
-    ``_CHECKPOINT``, the node alone under ``_NODE``.  Each visited node
-    is resolved to its slot and step function once.
+    configuration is the node plus every slot's state under a finite
+    ``fuel``, the node alone under unbounded fuel, which only
+    ``run_total`` passes, after its constant-reply check.  Each visited
+    node is resolved to its slot and step function once.
 
-    Under ``_NODE`` a repeated node proves a cycle.  Under
-    ``_CHECKPOINT`` the loop saves the configuration, the mark, at each
+    Under unbounded fuel a repeated node proves a cycle.  Under a
+    finite ``fuel`` the loop saves the configuration, the mark, at each
     power of two below ``fuel`` and at ``fuel``, and compares every
     step's configuration with it (R. P. Brent, BIT 20, 1980).  A
     configuration before a cycle never recurs, so a match at step s with
@@ -186,10 +177,6 @@ def _step_loop(
     mark of ``fuel`` and meets it again within ``fuel`` steps, so no
     match by step 2 * ``fuel`` is FUEL at ``fuel``; so is a run that ends
     after step ``fuel``.
-
-    With ``trace``, the loop re-steps a run whose outcome an untraced
-    loop has found: it takes exactly ``fuel`` steps, passing each to
-    ``trace``, saves no mark, and its return value means nothing.
     """
     entries = family.entries
     slots: dict[str, int] = {}
@@ -201,16 +188,16 @@ def _step_loop(
     nodes = thread.nodes
     resolved: dict = {}
     current = thread.root
-    checkpoint = key == _CHECKPOINT
+    checkpoint = fuel < float("inf")
     steps = 0
-    # Under _NODE, one node per step taken, so a step whose node was seen
-    # before leaves the set's size at ``steps``.
+    # Under unbounded fuel, one node per step taken, so a step whose node
+    # was seen before leaves the set's size at ``steps``.
     seen: set = set()
     # The node and states saved at step ``mark_step``, and those saved at
     # the mark before it, at ``before_step``.
     mark = marked = before = before_states = None
     mark_step = before_step = 0
-    next_mark = 1 if trace is None else fuel
+    next_mark = 1
     while True:
         entry = resolved.get(current)
         if entry is None:
@@ -230,7 +217,7 @@ def _step_loop(
                     before_step, before, before_states = 0, thread.root, [entries[f].state for f in slots]
                 return _cycle(resolved, before_step, before, before_states, period, fuel)
             if steps == next_mark:
-                if steps > fuel or trace is not None:
+                if steps > fuel:
                     return FuelExhausted(fuel)
                 before_step, before, before_states = mark_step, mark, marked
                 mark_step, mark, marked = steps, current, list(states)
@@ -250,12 +237,24 @@ def _step_loop(
         else:
             return ProvenDivergent(DivergenceCause.REPLY_D, steps)
         steps += 1
-        if trace is not None:
-            trace(
-                f"pc={current} action={nodes[current].action} reply={Reply.from_bool(reply)} "
-                f"state={format_family(_family(family, slots, states))}"
-            )
         current = then_ref if reply else else_ref
+
+
+def _trace(thread: RegularThread, family: ServiceFamily, steps: int, trace: Callable[[str], None]) -> None:
+    """Take the first ``steps`` steps of a run again, on a copy of the
+    family and through ``service_step``, passing each step's line to
+    ``trace``.  An untraced run has found that none of them ends it."""
+    entries = dict(family.entries)
+    current = thread.root
+    for _ in range(steps):
+        node = thread.nodes[current]
+        action = node.action
+        if isinstance(action, Tau):
+            reply = Reply.TRUE
+        else:
+            reply, entries[action.focus] = service_step(entries[action.focus], action.method)
+        trace(f"pc={current} action={action} reply={reply} state={format_family(entries)}")
+        current = node.then_ref if reply is Reply.TRUE else node.else_ref
 
 
 def run(
@@ -277,17 +276,17 @@ def run(
     before the next step runs, with the line
     ``pc=<node> action=<action> reply=<T|F> state=<family literal>``.
     The run is made untraced first; its outcome's steps are then taken
-    again, each passed to ``trace``, so the lines stop at the step of
-    the outcome.
+    again through ``services.service_step``, each passed to ``trace``,
+    so the lines stop at the step of the outcome.
     """
     if isinstance(fuel, bool) or not isinstance(fuel, int):
         raise InputError(f"fuel must be an integer: {fuel!r}")
     if fuel < 1:
         raise InputError("fuel must be at least 1")
     thread = _as_thread(x)
-    outcome = _step_loop(thread, family, fuel, None, _CHECKPOINT)
+    outcome = _step_loop(thread, family, fuel)
     if trace is not None:
-        _step_loop(thread, family, outcome.steps, trace, _CHECKPOINT)
+        _trace(thread, family, outcome.steps, trace)
     return outcome
 
 
@@ -310,7 +309,7 @@ def run_total(x: Program | RegularThread, family: ServiceFamily) -> Outcome:
                     )
     # The configuration is the node only.  A run without repeated nodes
     # takes fewer steps than the thread has nodes, so it needs no fuel.
-    return _step_loop(thread, family, float("inf"), None, _NODE)
+    return _step_loop(thread, family, float("inf"))
 
 
 def reply(

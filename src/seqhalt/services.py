@@ -6,8 +6,10 @@ to services, each name occurring once; composing two families that share
 a name collapses that name to the empty service.  ``service_step`` is
 the one-step protocol: a known method replies True/False and steps the
 state, an unknown method replies Divergent and the service collapses.
-A reply that contradicts the operation's declared constant reply is a
-bug in the unit and raises AssertionError.
+``machine`` replays a traced run's steps through it; its step loop
+calls each unit's step function directly.  A reply that contradicts
+the operation's declared constant reply is a bug in the unit and raises
+AssertionError.
 """
 
 from __future__ import annotations
