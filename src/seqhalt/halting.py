@@ -109,7 +109,7 @@ def decide_halting_dup(x: Program) -> bool:
 def leads_to_first_application(x: Program, i: int) -> bool:
     """Whether the occurrence at position i is the first basic
     instruction execution reaches (by jump chasing from position 1)."""
-    if not 1 <= i <= len(x):
+    if type(i) is not int or not 1 <= i <= len(x):
         raise InputError(f"position {i} not in 1..{len(x)}")
     # Jump chasing stays where it starts exactly on a basic instruction.
     if _resolve(x, i) != i:

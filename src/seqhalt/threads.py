@@ -218,7 +218,7 @@ def project(depth: int, t: RegularThread | FiniteThread) -> FiniteThread:
     takes the depth-(n-1) projections of its branches (tau nodes are
     normalised so the else branch equals the then branch).
     """
-    if depth < 0:
+    if type(depth) is not int or depth < 0:
         raise InputError("depth must be a natural number")
     if isinstance(t, RegularThread):
         # One depth at a time over all nodes: no recursion, whatever the
@@ -271,7 +271,7 @@ def projections_agree(t1: RegularThread, t2: RegularThread, depth: int) -> bool:
 
     Computed without materialising the trees (they grow exponentially).
     """
-    if depth < 0:
+    if type(depth) is not int or depth < 0:
         raise InputError("depth must be a natural number")
     first = _first_disagreement(t1, t2)
     return first is None or first > depth

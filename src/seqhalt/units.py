@@ -24,7 +24,7 @@ duplication operation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Mapping
 
@@ -254,12 +254,6 @@ def tape_basic_unit() -> FunctionalUnit:
     return _TAPE_BASIC
 
 
-# Entries the halting oracle's reply cache keeps, the least recently used
-# evicted first.
-_HALTING_REPLIES = 4096
-
-
-@lru_cache(maxsize=_HALTING_REPLIES)
 def _halting_reply(content: str) -> bool:
     """Reply of the halting operation on a tape with this content: True
     iff the part before the first ':' encodes a halting-unit program
@@ -270,6 +264,13 @@ def _halting_reply(content: str) -> bool:
     from False (the reply on a content without such a segment).  A loop,
     not recursion, so any number of segments is answered.
     """
+    # An encoding is whole bytes, so a first segment shorter than 8
+    # symbols encodes no program; a content without ':' (find gives -1)
+    # has no segment to fold.  Either way the reply is False.  A first
+    # segment of 8 symbols and its ':' need 9 symbols, and the length
+    # alone answers the short words most calls pass.
+    if len(content) < 9 or content.find(":") < 8:
+        return False
     programs = []
     for segment in content.split(":")[:-1]:
         y = decode(segment)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +122,11 @@ class TestLeadsToFirstApplication:
             leads_to_first_application(parse("!t"), 2)
         with pytest.raises(InputError, match="^position 1 holds no basic instruction$"):
             leads_to_first_application(parse("#1;!t"), 1)
+        # Only an exact int is a position: not a float, and not a bool.
+        x = parse("f.halting;!t")
+        for i, text in ((1.0, "1.0"), (1.5, "1.5"), (True, "True")):
+            with pytest.raises(InputError, match=rf"^position {text} not in 1\.\.2$"):
+                leads_to_first_application(x, i)
 
 
 class TestHaltingOracle:
@@ -147,6 +153,37 @@ class TestHaltingOracle:
         split = len(word) // 2
         state_mid = type(at_left(""))(word[:split], word[split:])
         assert halting_op_step(state_mid) == (True, at_left(""))
+
+    @pytest.mark.parametrize(
+        "word, reply",
+        [
+            ("", False),
+            ("0000000:1", False),  # a 7-symbol first segment
+            ("00100001:1", False),  # 8 symbols, the byte "!", which is no program
+            (encode(parse("-f.halting;#0;!t")) + ":" + encode(parse("!t")) + ":", True),
+            (encode(parse("-f.halting;#0;!t")) + ":" + encode(parse("#0")) + ":", False),
+        ],
+    )
+    def test_edge_of_the_length_test(self, word, reply):
+        assert halting_op_step(at_left(word)) == (reply, at_left(""))
+
+    def test_no_memory_kept_after_the_reply(self):
+        # The oracle holds no answers: once its inputs are dropped, 16
+        # distinct 1 MB contents leave under 1 MiB behind (a cache of
+        # them would keep 16 MiB).  Their first segment, 9 symbols, is
+        # long enough to reach the fold.
+        x = parse("f.halting;!t")
+        tracemalloc.start()
+        try:
+            for k in range(16):
+                state = at_left("0" * 9 + ":" + "1" * k + "0" * (2**20 - k))
+                assert decide_halting_empty_ext(x, state) is True
+                assert halting_op_step(state) == (False, at_left(""))
+                del state
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**20
 
     def test_effect_always_resets_tape(self):
         rng = random.Random(3)

@@ -110,6 +110,19 @@ def test_imports_run_one_way(path):
     assert [m for m in imported if m not in below] == []
 
 
+def cache_decorators(tree: ast.Module) -> list[tuple[ast.AST, ast.expr, ast.Call]]:
+    """``(function, decorator, call)`` for each ``cache``/``lru_cache``
+    decorator, by name or as a module attribute; a bare decorator is
+    given as a call without arguments."""
+    found = []
+    for node in ast.walk(tree):
+        for decorator in getattr(node, "decorator_list", []):
+            call = decorator if isinstance(decorator, ast.Call) else ast.Call(decorator, [], [])
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) in ("cache", "lru_cache"):
+                found.append((node, decorator, call))
+    return found
+
+
 def unbounded_caches(tree: ast.Module) -> list[int]:
     """Lines of ``cache``/``lru_cache`` decorators without an integer
     ``maxsize``, given as a literal or as a module-level constant."""
@@ -121,25 +134,38 @@ def unbounded_caches(tree: ast.Module) -> list[int]:
         if isinstance(t, ast.Name)
     }
     lines = []
-    for node in ast.walk(tree):
-        for decorator in getattr(node, "decorator_list", []):
-            call = decorator if isinstance(decorator, ast.Call) else ast.Call(decorator, [], [])
-            if getattr(call.func, "id", getattr(call.func, "attr", None)) not in ("cache", "lru_cache"):
-                continue
-            sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
-            size = sizes[0] if sizes else None
-            if isinstance(size, ast.Name):
-                size = constants.get(size.id)
-            elif isinstance(size, ast.Constant):
-                size = size.value
-            if type(size) is not int:
-                lines.append(decorator.lineno)
+    for _, decorator, call in cache_decorators(tree):
+        sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+        size = sizes[0] if sizes else None
+        if isinstance(size, ast.Name):
+            size = constants.get(size.id)
+        elif isinstance(size, ast.Constant):
+            size = size.value
+        if type(size) is not int:
+            lines.append(decorator.lineno)
     return lines
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_caches_are_bounded(path):
     assert unbounded_caches(ast.parse(path.read_text())) == []
+
+
+def cached_functions(tree: ast.Module, module: str) -> list[str]:
+    """``module.name`` of each function under a ``cache``/``lru_cache``
+    decorator."""
+    return [f"{module}.{node.name}" for node, _, _ in cache_decorators(tree)]
+
+
+# The one memoised function: it holds the CLI's argument parser, built on
+# the first main call, and no answers.  A cache of answers grows with its
+# inputs, so each new one must be listed here with the reason it is safe.
+CACHED = ["cli._build_parser"]
+
+
+def test_only_listed_functions_cache():
+    found = [name for p in SOURCES for name in cached_functions(ast.parse(p.read_text()), p.stem)]
+    assert found == CACHED
 
 
 def test_import_builds_no_parser():
@@ -160,6 +186,7 @@ def test_unbounded_cache_is_found():
         "@functools.lru_cache(maxsize=_SIZE)\ndef g(): pass\n@staticmethod\ndef h(): pass\n"
     )
     assert unbounded_caches(tree) == [5, 7, 9, 11]
+    assert cached_functions(tree, "m") == [f"m.{name}" for name in "abcdefg"]
 
 
 def settable_values(tree: ast.Module) -> int:

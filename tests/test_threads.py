@@ -114,6 +114,12 @@ class TestProjection:
             project(-1, t1)
         with pytest.raises(ValueError, match="depth must be a natural number"):
             projections_agree(t1, t2, -1)
+        # Only an exact int is a depth: not a float, and not a bool.
+        for depth in (1.5, 1.0, True):
+            with pytest.raises(ValueError, match="depth must be a natural number"):
+                project(depth, t1)
+            with pytest.raises(ValueError, match="depth must be a natural number"):
+                projections_agree(t1, t1, depth)
 
     def test_tau_normalised(self):
         regular = RegularThread({0: PostCond(TAU, 1, 2), 1: STOP_TRUE, 2: STOP_FALSE}, 0)
