@@ -81,7 +81,7 @@ Outcome = Union[Converged, ProvenDivergent, FuelExhausted]
 
 
 def _as_thread(x: Program | RegularThread) -> RegularThread:
-    return x if isinstance(x, RegularThread) else extract(x)
+    return x if type(x) is RegularThread else extract(x)
 
 
 # What the step loop does on reaching a node, resolved once per run.  The
@@ -95,30 +95,37 @@ def _resolve_node(
 ) -> tuple:
     """``(kind, slot, step, then_ref, else_ref)`` of a node, given the
     family's entries and the slot of each focus that holds a unit."""
-    if isinstance(node, PostCond):
-        action = node.action
-        if isinstance(action, Tau):
-            return _TAU, None, None, node.then_ref, node.else_ref
+    kind = type(node)
+    if kind is PostCond:
+        action, then_ref, else_ref = node
+        if type(action) is Tau:
+            return _TAU, None, None, then_ref, else_ref
         service = entries.get(action.focus)
         if service is None:
             return _MISSING_FOCUS, None, None, None, None
         step = service.unit.steps.get(action.method) if isinstance(service, UnitService) else None
         if step is None:
             return _REPLY_D, None, None, None, None
-        return _STEP, slots[action.focus], step, node.then_ref, node.else_ref
-    if isinstance(node, StopTrue):
+        return _STEP, slots[action.focus], step, then_ref, else_ref
+    if kind is StopTrue:
         return _STOP_TRUE, None, None, None, None
-    if isinstance(node, StopFalse):
+    if kind is StopFalse:
         return _STOP_FALSE, None, None, None, None
     return _DEADLOCK, None, None, None, None
 
 
 def _family(family: ServiceFamily, slots: Mapping[str, int], states: Sequence[Any]) -> ServiceFamily:
-    """``family`` with each unit's state taken from its slot."""
-    entries = dict(family.entries)
+    """``family`` with each unit's state taken from its slot: ``family``
+    itself when every slot still holds the state it started with."""
+    entries = family.entries
+    changed = None
     for focus, slot in slots.items():
-        entries[focus] = UnitService(entries[focus].unit, states[slot])
-    return ServiceFamily(entries)
+        service = entries[focus]
+        if states[slot] is not service.state:
+            if changed is None:
+                changed = dict(entries)
+            changed[focus] = UnitService(service.unit, states[slot])
+    return family if changed is None else ServiceFamily(changed)
 
 
 def _advance(resolved: dict, node: Any, states: list[Any]) -> Any:
@@ -247,14 +254,13 @@ def _trace(thread: RegularThread, family: ServiceFamily, steps: int, trace: Call
     entries = dict(family.entries)
     current = thread.root
     for _ in range(steps):
-        node = thread.nodes[current]
-        action = node.action
-        if isinstance(action, Tau):
+        action, then_ref, else_ref = thread.nodes[current]
+        if type(action) is Tau:
             reply = Reply.TRUE
         else:
             reply, entries[action.focus] = service_step(entries[action.focus], action.method)
         trace(f"pc={current} action={action} reply={reply} state={format_family(entries)}")
-        current = node.then_ref if reply is Reply.TRUE else node.else_ref
+        current = then_ref if reply is Reply.TRUE else else_ref
 
 
 def run(
@@ -298,15 +304,16 @@ def run_total(x: Program | RegularThread, family: ServiceFamily) -> Outcome:
     infinite loop: divergence is proven by pigeonhole instead of fuel.
     """
     thread = _as_thread(x)
+    entries = family.entries
     for node in thread.nodes.values():
-        if isinstance(node, PostCond) and isinstance(node.action, BasicInstruction):
-            service = family.entries.get(node.action.focus)
-            if isinstance(service, UnitService):
-                op = service.unit.operations.get(node.action.method)
-                if op is not None and op.constant_reply is None:
-                    raise InputError(
-                        f"{node.action} has no declared constant reply; use run()"
-                    )
+        if type(node) is PostCond:
+            action = node[0]
+            if type(action) is BasicInstruction:
+                service = entries.get(action.focus)
+                if isinstance(service, UnitService):
+                    op = service.unit.operations.get(action.method)
+                    if op is not None and op.constant_reply is None:
+                        raise InputError(f"{action} has no declared constant reply; use run()")
     # The configuration is the node only.  A run without repeated nodes
     # takes fewer steps than the thread has nodes, so it needs no fuel.
     return _step_loop(thread, family, float("inf"))

@@ -8,18 +8,30 @@ perform ``a``, continue as ``x`` on reply True and as ``y`` on False.
 The internal action tau always receives reply True, so a tau node's else
 branch is semantically identified with its then branch.
 
+A node is one of the terminals or a ``PostCond``, which is the tuple
+``(action, then_ref, else_ref)``: the readers on the run path unpack it
+and dispatch on its exact type, which ``RegularThread`` makes sound by
+admitting exact node and action types only.
+
 ``extract`` turns a program into its behaviour graph by resolving jumps
 transparently: a position outside the program, a 0-jump, or a cyclic jump
-chain all yield deadlock.  ``project`` cuts a thread off after a given
-number of actions; two regular threads are equal exactly when all finite
-projections agree.  ``bisimilar`` and ``projections_agree`` both read
-the first depth at which the projections differ off one breadth-first
-walk over the node pairs reached in lockstep from the two roots.
+chain all yield deadlock.  Its output is trusted: it builds its thread
+through a private constructor that skips ``RegularThread``'s check, since
+every node it writes is a ``PostCond`` of an instruction's action or a
+terminal, and every reference one it resolved itself.
+
+``project`` cuts a thread off after a given number of actions; two
+regular threads are equal exactly when all finite projections agree.
+``bisimilar`` and ``projections_agree`` both read the first depth at
+which the projections differ off one breadth-first walk over the node
+pairs reached in lockstep from the two roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import Mapping, Union
 
 from .program import (
@@ -72,31 +84,68 @@ STOP_TRUE = StopTrue()
 STOP_FALSE = StopFalse()
 
 
-@dataclass(frozen=True)
-class PostCond:
-    action: Action
-    then_ref: NodeId
-    else_ref: NodeId
+class PostCond(tuple):
+    """The postconditional node ``x <| a |> y``, as the tuple ``(action,
+    then_ref, else_ref)``.  It equals and hashes like the bare tuple."""
 
+    __slots__ = ()
+    action = property(itemgetter(0))
+    then_ref = property(itemgetter(1))
+    else_ref = property(itemgetter(2))
+
+    def __new__(cls, action: Action, then_ref: NodeId, else_ref: NodeId) -> PostCond:
+        return tuple.__new__(cls, (action, then_ref, else_ref))
+
+    def __getnewargs__(self) -> tuple[Action, NodeId, NodeId]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "PostCond(action=%r, then_ref=%r, else_ref=%r)" % self
+
+
+# A ``PostCond`` from its ``(action, then_ref, else_ref)`` triple.
+_postcond = partial(tuple.__new__, PostCond)
 
 ThreadNode = Union[Deadlock, StopTrue, StopFalse, PostCond]
+
+_TERMINAL_TYPES = (Deadlock, StopTrue, StopFalse)
+_ACTION_TYPES = (BasicInstruction, Tau)
 
 
 @dataclass(frozen=True)
 class RegularThread:
-    """A finite, closed system of thread equations with a root node."""
+    """A finite, closed system of thread equations with a root node.
+
+    Each node's exact type is ``PostCond`` or a terminal type, and each
+    ``PostCond`` action's is ``BasicInstruction`` or ``Tau``."""
 
     nodes: Mapping[NodeId, ThreadNode]
     root: NodeId
 
     def __post_init__(self):
-        if self.root not in self.nodes:
+        nodes = self.nodes
+        if self.root not in nodes:
             raise InputError(f"root {self.root!r} is not a node")
-        for ref, node in self.nodes.items():
-            if isinstance(node, PostCond):
-                for target in (node.then_ref, node.else_ref):
-                    if target not in self.nodes:
+        for ref, node in nodes.items():
+            kind = type(node)
+            if kind is PostCond:
+                action, then_ref, else_ref = node
+                if type(action) not in _ACTION_TYPES:
+                    raise InputError(f"node {ref!r} acts by {action!r}, not a basic instruction or tau")
+                for target in (then_ref, else_ref):
+                    if target not in nodes:
                         raise InputError(f"node {ref!r} references missing {target!r}")
+            elif kind not in _TERMINAL_TYPES:
+                raise InputError(f"node {ref!r} is not a thread node: {node!r}")
+
+
+def _thread(nodes: dict[NodeId, ThreadNode], root: NodeId) -> RegularThread:
+    """A ``RegularThread`` without the check, for ``extract`` only."""
+    thread = object.__new__(RegularThread)
+    fields = thread.__dict__
+    fields["nodes"] = nodes
+    fields["root"] = root
+    return thread
 
 
 def constant_thread(node: ThreadNode) -> RegularThread:
@@ -111,24 +160,23 @@ def _resolve(x: Program, i: int) -> NodeId:
     """Chase jumps from position i to a basic instruction or terminal."""
     instructions = x.instructions
     k = len(instructions)
+    # Only a jump can repeat a position before the chase stops.
     seen: set[int] = set()
-    while True:
-        if not 1 <= i <= k or i in seen:
-            return "D"
+    while 1 <= i <= k:
         u = instructions[i - 1]
         kind = type(u)
-        if kind is FwdJump:
+        if kind is FwdJump or kind is BwdJump:
+            if i in seen:
+                break
             seen.add(i)
-            i += u.offset
-        elif kind is BwdJump:
-            seen.add(i)
-            i -= u.offset
+            i += u.offset if kind is FwdJump else -u.offset
         elif kind is TermTrue:
             return "S+"
         elif kind is TermFalse:
             return "S-"
         else:
             return i
+    return "D"
 
 
 def _halts(x: Program, first: bool, later: bool) -> bool:
@@ -182,6 +230,7 @@ def extract(x: Program) -> RegularThread:
     instruction plus the terminals it reaches.  The successor rule: from
     position i, +f.m goes near (i + 1, jumps chased) on True and far
     (i + 2) on False, -f.m the other way round, f.m near on either."""
+    instructions = x.instructions
     root = _resolve(x, 1)
     nodes: dict[NodeId, ThreadNode] = {}
     todo = [root]
@@ -192,13 +241,16 @@ def extract(x: Program) -> RegularThread:
         if type(ref) is str:
             nodes[ref] = _TERMINAL_IDS[ref]
             continue
-        u = x.instructions[ref - 1]  # a basic instruction: _resolve stops only there
-        near = _resolve(x, ref + 1)
-        far = near if type(u) is Plain else _resolve(x, ref + 2)
-        node = PostCond(u.action, far, near) if type(u) is NegTest else PostCond(u.action, near, far)
-        nodes[ref] = node
-        todo += [node.then_ref, node.else_ref]
-    return RegularThread(nodes, root)
+        u = instructions[ref - 1]  # a basic instruction: _resolve stops only there
+        kind = type(u)
+        then_ref = else_ref = _resolve(x, ref + 1)
+        if kind is PosTest:
+            else_ref = _resolve(x, ref + 2)
+        elif kind is NegTest:
+            then_ref = _resolve(x, ref + 2)
+        nodes[ref] = _postcond((u.action, then_ref, else_ref))
+        todo += then_ref, else_ref
+    return _thread(nodes, root)
 
 
 @dataclass(frozen=True)
@@ -227,7 +279,7 @@ def project(depth: int, t: RegularThread | FiniteThread) -> FiniteThread:
         for _ in range(depth):
             level = {
                 ref: TreeNode(node.action, *(level[r] for r in _normalised_refs(node)))
-                if isinstance(node, PostCond)
+                if type(node) is PostCond
                 else node
                 for ref, node in t.nodes.items()
             }
@@ -245,7 +297,7 @@ def project(depth: int, t: RegularThread | FiniteThread) -> FiniteThread:
             cut[id(node), n] = node if n else DEADLOCK
             continue
         then_branch = node.then_branch
-        branches = (then_branch, then_branch if isinstance(node.action, Tau) else node.else_branch)
+        branches = (then_branch, then_branch if type(node.action) is Tau else node.else_branch)
         missing = {id(b): (b, n - 1) for b in branches if (id(b), n - 1) not in cut}
         if missing:
             todo += [(node, n), *missing.values()]
@@ -255,9 +307,8 @@ def project(depth: int, t: RegularThread | FiniteThread) -> FiniteThread:
 
 
 def _normalised_refs(node: PostCond) -> tuple[NodeId, NodeId]:
-    if isinstance(node.action, Tau):
-        return node.then_ref, node.then_ref
-    return node.then_ref, node.else_ref
+    action, then_ref, else_ref = node
+    return (then_ref, then_ref) if type(action) is Tau else (then_ref, else_ref)
 
 
 def bisimilar(t1: RegularThread, t2: RegularThread) -> bool:
@@ -288,20 +339,26 @@ def _first_disagreement(t1: RegularThread, t2: RegularThread) -> int | None:
     makes the projections differ from depth k + 1 on; pairs of agreeing
     nodes only pass the question on to their branch pairs.
     """
+    nodes1, nodes2 = t1.nodes, t2.nodes
     level = [(t1.root, t2.root)]
     seen = set(level)
     depth = 1
     while level:
         reached = []
         for ref1, ref2 in level:
-            n1, n2 = t1.nodes[ref1], t2.nodes[ref2]
-            if not isinstance(n1, PostCond) or not isinstance(n2, PostCond):
-                if type(n1) is not type(n2):
-                    return depth
-            elif n1.action != n2.action:
+            n1, n2 = nodes1[ref1], nodes2[ref2]
+            kind = type(n1)
+            if kind is not type(n2):
                 return depth
-            else:
-                for pair in zip(_normalised_refs(n1), _normalised_refs(n2)):
+            if kind is PostCond:
+                action, then1, else1 = n1
+                action2, then2, else2 = n2
+                if action != action2:
+                    return depth
+                # Equal actions: both tau or neither.
+                if type(action) is Tau:
+                    else1, else2 = then1, then2
+                for pair in ((then1, then2), (else1, else2)):
                     if pair not in seen:
                         seen.add(pair)
                         reached.append(pair)

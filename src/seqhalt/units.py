@@ -262,21 +262,28 @@ def _halting_reply(content: str) -> bool:
     The rest is answered the same way, so the reply folds from the right
     over the leading segments that encode halting-unit programs, starting
     from False (the reply on a content without such a segment).  A loop,
-    not recursion, so any number of segments is answered.
+    not recursion, so any number of segments is answered.  The segments
+    are read one at a time, up to the first that is not such a program.
     """
     # An encoding is whole bytes, so a first segment shorter than 8
     # symbols encodes no program; a content without ':' (find gives -1)
     # has no segment to fold.  Either way the reply is False.  A first
     # segment of 8 symbols and its ':' need 9 symbols, and the length
     # alone answers the short words most calls pass.
-    if len(content) < 9 or content.find(":") < 8:
+    if len(content) < 9:
+        return False
+    end = content.find(":")
+    if end < 8:
         return False
     programs = []
-    for segment in content.split(":")[:-1]:
-        y = decode(segment)
+    start = 0
+    while end >= 0:
+        y = decode(content[start:end])
         if y is NOT_AN_ENCODING or foreign_action(y, ("halting",)) is not None:
             break
         programs.append(y)
+        start = end + 1
+        end = content.find(":", start)
     reply = False
     for y in reversed(programs):
         reply = _halts(y, reply, False)

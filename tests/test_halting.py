@@ -185,6 +185,18 @@ class TestHaltingOracle:
             tracemalloc.stop()
         assert kept < 2**20
 
+    def test_reads_no_segment_past_the_fold(self):
+        # The fold stops at the second segment, "0", which encodes no
+        # program; half a million segments after it are never copied.
+        state = at_left(encode(parse("!t")) + ":" + "0:" * 500_000)
+        tracemalloc.start()
+        try:
+            assert halting_op_step(state) == (True, at_left(""))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
     def test_effect_always_resets_tape(self):
         rng = random.Random(3)
         for _ in range(50):

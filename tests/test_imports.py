@@ -11,6 +11,7 @@ from typing import get_args
 import pytest
 
 from seqhalt.program import Instruction
+from seqhalt.threads import ThreadNode
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "seqhalt"
 # The package's __init__ imports names only to re-export them.
@@ -273,19 +274,25 @@ def test_bare_int_call_is_found():
 
 
 INSTRUCTION_TYPES = {t.__name__ for t in get_args(Instruction)}
+NODE_TYPES = {t.__name__ for t in get_args(ThreadNode)} | {"Tau"}
 
 
-def instruction_isinstance_calls(tree: ast.Module) -> list[int]:
-    """Lines that call ``isinstance`` with an instruction type, alone or
-    in a tuple, by name or as a module attribute."""
+def isinstance_calls(tree: ast.Module, names: set[str]) -> list[int]:
+    """Lines that call ``isinstance`` with a type named in ``names``,
+    alone or in a tuple, by name or as a module attribute."""
     lines = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
             kinds = node.args[1]
             for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
-                if getattr(kind, "id", getattr(kind, "attr", None)) in INSTRUCTION_TYPES:
+                if getattr(kind, "id", getattr(kind, "attr", None)) in names:
                     lines.add(node.lineno)
     return sorted(lines)
+
+
+def instruction_isinstance_calls(tree: ast.Module) -> list[int]:
+    """Lines that call ``isinstance`` with an instruction type."""
+    return isinstance_calls(tree, INSTRUCTION_TYPES)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
@@ -306,16 +313,41 @@ def test_instruction_isinstance_call_is_found():
     assert instruction_isinstance_calls(tree) == [2, 3, 4, 7]
 
 
-def unchecked_tape_uses(tree: ast.Module, helper: str | None) -> list[int]:
-    """Lines that read ``_tape``, by name or as ``units._tape``, outside
-    the function named ``helper``."""
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_thread_nodes_dispatch_on_exact_type(path):
+    # RegularThread admits only nodes and actions of the exact node and
+    # action types, so ``type(node) is ...`` is sound, and one way to
+    # dispatch on them is kept.
+    assert isinstance_calls(ast.parse(path.read_text()), NODE_TYPES) == []
+
+
+def test_node_isinstance_call_is_found():
+    tree = ast.parse(
+        "from seqhalt import threads\n"
+        "a = isinstance(n, PostCond)\nb = isinstance(n, (StopTrue, str))\n"
+        "c = isinstance(n, threads.Deadlock)\nd = isinstance(n, Plain)\n"
+        "e = type(n) is StopFalse\nf = isinstance(a, Tau) or isinstance(t, RegularThread)\n"
+        "g = isinstance(n, TreeNode)\nh = isinstance(n, (BasicInstruction, StopFalse))\n"
+    )
+    assert isinstance_calls(tree, NODE_TYPES) == [2, 3, 4, 7, 9]
+
+
+def uses_outside(tree: ast.Module, name: str, helper: str | None) -> list[int]:
+    """Lines that read ``name``, as a name or as an attribute, outside the
+    function named ``helper``."""
     inside = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == helper for n in ast.walk(f)}
     return sorted(
         n.lineno
         for n in ast.walk(tree)
-        if (isinstance(n, ast.Name) and n.id == "_tape" or isinstance(n, ast.Attribute) and n.attr == "_tape")
+        if (isinstance(n, ast.Name) and n.id == name or isinstance(n, ast.Attribute) and n.attr == name)
         and id(n) not in inside
     )
+
+
+def unchecked_tape_uses(tree: ast.Module, helper: str | None) -> list[int]:
+    """Lines that read ``_tape``, by name or as ``units._tape``, outside
+    the function named ``helper``."""
+    return uses_outside(tree, "_tape", helper)
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "units.py"], ids=lambda p: p.name)
@@ -336,3 +368,22 @@ def test_unchecked_tape_use_is_found():
     )
     assert unchecked_tape_uses(tree, "_encoded_tape") == [4, 5, 6, 8]
     assert unchecked_tape_uses(tree, None) == [3, 4, 5, 6, 8]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_unchecked_threads_only_from_extract(path):
+    # threads._thread skips RegularThread's check.  Only threads.extract
+    # may call it, on the nodes it resolved itself.
+    helper = "extract" if path.name == "threads.py" else None
+    assert uses_outside(ast.parse(path.read_text()), "_thread", helper) == []
+
+
+def test_unchecked_thread_use_is_found():
+    tree = ast.parse(
+        "from seqhalt import threads\nfrom seqhalt.threads import _thread\n"
+        "def extract(x): return _thread({}, 'D')\n"
+        "a = _thread({}, 'D')\nb = threads._thread({}, 'D')\nc = map(_thread, [])\n"
+        "def d(x):\n    return _thread({}, 'D')\ne = thread({}, 'D')\n"
+    )
+    assert uses_outside(tree, "_thread", "extract") == [4, 5, 6, 8]
+    assert uses_outside(tree, "_thread", None) == [3, 4, 5, 6, 8]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from typing import get_args
 
@@ -12,11 +14,13 @@ from seqhalt.program import (
     BasicInstruction,
     BwdJump,
     FwdJump,
+    InputError,
     Instruction,
     NegTest,
     Plain,
     PosTest,
     Program,
+    enumerate_programs,
     foreign_action,
     parse,
 )
@@ -220,6 +224,59 @@ def test_closed_system_enforced():
         RegularThread({0: PostCond(FM, 0, 99)}, 0)
     with pytest.raises(ValueError):
         RegularThread({0: STOP_TRUE}, 1)
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        {0: "S+"},  # a node id, not a node
+        {0: "x"},
+        {0: ("f.m", 0, 0)},  # a bare tuple, not a PostCond
+        {0: PostCond("f.m", 0, 0)},  # an action written as text
+        {0: PostCond(Plain(FM), 0, 0)},  # an instruction, not its action
+    ],
+    ids=["node-id", "text", "bare-tuple", "text-action", "instruction-action"],
+)
+def test_only_thread_nodes_admitted(nodes):
+    # Every reader of a thread dispatches on the exact node and action
+    # types, so a thread holding anything else is rejected when built.
+    # Unchecked, run took {0: "S+"} for a proven DEADLOCK, bisimilar took
+    # {0: "x"} and {0: "y"} for equal, and run on the text action raised
+    # AttributeError.
+    with pytest.raises(InputError):
+        RegularThread(nodes, 0)
+
+
+class TestPostCond:
+    def test_public_surface(self):
+        node = PostCond(FM, "S+", 2)
+        assert repr(node) == "PostCond(action=BasicInstruction(focus='f', method='m'), then_ref='S+', else_ref=2)"
+        assert (node.action, node.then_ref, node.else_ref) == (FM, "S+", 2)
+        assert PostCond(action=FM, then_ref="S+", else_ref=2) == node
+        assert PostCond(FM, else_ref=2, then_ref="S+") == node
+        for name in ("action", "then_ref", "else_ref"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, 0)
+        assert not hasattr(node, "__dict__")
+
+    def test_equals_the_bare_tuple(self):
+        node = PostCond(FM, "S+", 2)
+        assert node == (FM, "S+", 2) and hash(node) == hash((FM, "S+", 2))
+        assert node != PostCond(FM, 2, "S+") and node != PostCond(TAU, "S+", 2)
+
+    def test_copies_and_pickles_as_postconds(self):
+        node = PostCond(FM, "S+", 2)
+        for clone in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert type(clone) is PostCond and clone == node
+
+    @pytest.mark.parametrize("methods", [{"dup"}, {"m", "n"}], ids=["dup", "m-n"])
+    def test_extract_passes_the_checked_constructor(self, methods):
+        # extract builds its thread without RegularThread's check; the
+        # check admits every thread it builds, unchanged.
+        for x in enumerate_programs(methods, 3):
+            t = extract(x)
+            checked = RegularThread(dict(t.nodes), t.root)
+            assert type(t) is RegularThread and t == checked, x
 
 
 # One instance of every instruction type, placed before !t, with what the
