@@ -263,6 +263,13 @@ def _trace(thread: RegularThread, family: ServiceFamily, steps: int, trace: Call
         current = then_ref if reply is Reply.TRUE else else_ref
 
 
+def _check_fuel(fuel: int) -> None:
+    if type(fuel) is not int:
+        raise InputError(f"fuel must be an integer: {fuel!r}")
+    if fuel < 1:
+        raise InputError("fuel must be at least 1")
+
+
 def run(
     x: Program | RegularThread,
     family: ServiceFamily,
@@ -285,10 +292,7 @@ def run(
     again through ``services.service_step``, each passed to ``trace``,
     so the lines stop at the step of the outcome.
     """
-    if isinstance(fuel, bool) or not isinstance(fuel, int):
-        raise InputError(f"fuel must be an integer: {fuel!r}")
-    if fuel < 1:
-        raise InputError("fuel must be at least 1")
+    _check_fuel(fuel)
     thread = _as_thread(x)
     outcome = _step_loop(thread, family, fuel)
     if trace is not None:
@@ -382,6 +386,7 @@ def derived_operation(
     Returns Applied(reply, state) on termination, UNDEFINED on proven
     divergence, UNKNOWN when the fuel runs out first.
     """
+    _check_fuel(fuel)
     action = foreign_action(x, interface(unit))
     if action is not None:
         raise InputError(

@@ -8,9 +8,10 @@ perform ``a``, continue as ``x`` on reply True and as ``y`` on False.
 The internal action tau always receives reply True, so a tau node's else
 branch is semantically identified with its then branch.
 
-A node is one of the terminals or a ``PostCond``, which is the tuple
-``(action, then_ref, else_ref)``: the readers on the run path unpack it
-and dispatch on its exact type, which ``RegularThread`` makes sound by
+A node is one of the terminals or a ``PostCond``, the named tuple
+``(action, then_ref, else_ref)``; a ``RegularThread`` is the named tuple
+``(nodes, root)``.  The readers on the run path unpack a node and
+dispatch on its exact type, which ``RegularThread`` makes sound by
 admitting exact node and action types only.
 
 ``extract`` turns a program into its behaviour graph by resolving jumps
@@ -29,10 +30,10 @@ pairs reached in lockstep from the two roots.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .program import (
     BasicInstruction,
@@ -84,23 +85,13 @@ STOP_TRUE = StopTrue()
 STOP_FALSE = StopFalse()
 
 
-class PostCond(tuple):
+class PostCond(NamedTuple):
     """The postconditional node ``x <| a |> y``, as the tuple ``(action,
     then_ref, else_ref)``.  It equals and hashes like the bare tuple."""
 
-    __slots__ = ()
-    action = property(itemgetter(0))
-    then_ref = property(itemgetter(1))
-    else_ref = property(itemgetter(2))
-
-    def __new__(cls, action: Action, then_ref: NodeId, else_ref: NodeId) -> PostCond:
-        return tuple.__new__(cls, (action, then_ref, else_ref))
-
-    def __getnewargs__(self) -> tuple[Action, NodeId, NodeId]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return "PostCond(action=%r, then_ref=%r, else_ref=%r)" % self
+    action: Action
+    then_ref: NodeId
+    else_ref: NodeId
 
 
 # A ``PostCond`` from its ``(action, then_ref, else_ref)`` triple.
@@ -112,20 +103,20 @@ _TERMINAL_TYPES = (Deadlock, StopTrue, StopFalse)
 _ACTION_TYPES = (BasicInstruction, Tau)
 
 
-@dataclass(frozen=True)
-class RegularThread:
-    """A finite, closed system of thread equations with a root node.
+class RegularThread(namedtuple("RegularThread", "nodes root")):
+    """A finite, closed system of thread equations with a root node, as
+    the tuple ``(nodes, root)``.  It equals that bare tuple and, with a
+    dict of nodes, ``hash`` raises ``TypeError``.
 
     Each node's exact type is ``PostCond`` or a terminal type, and each
     ``PostCond`` action's is ``BasicInstruction`` or ``Tau``."""
 
-    nodes: Mapping[NodeId, ThreadNode]
-    root: NodeId
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # and so _replace: both check
 
-    def __post_init__(self):
-        nodes = self.nodes
-        if self.root not in nodes:
-            raise InputError(f"root {self.root!r} is not a node")
+    def __new__(cls, nodes: Mapping[NodeId, ThreadNode], root: NodeId) -> RegularThread:
+        if root not in nodes:
+            raise InputError(f"root {root!r} is not a node")
         for ref, node in nodes.items():
             kind = type(node)
             if kind is PostCond:
@@ -137,15 +128,12 @@ class RegularThread:
                         raise InputError(f"node {ref!r} references missing {target!r}")
             elif kind not in _TERMINAL_TYPES:
                 raise InputError(f"node {ref!r} is not a thread node: {node!r}")
+        return tuple.__new__(cls, (nodes, root))
 
 
 def _thread(nodes: dict[NodeId, ThreadNode], root: NodeId) -> RegularThread:
     """A ``RegularThread`` without the check, for ``extract`` only."""
-    thread = object.__new__(RegularThread)
-    fields = thread.__dict__
-    fields["nodes"] = nodes
-    fields["root"] = root
-    return thread
+    return tuple.__new__(RegularThread, (nodes, root))
 
 
 def constant_thread(node: ThreadNode) -> RegularThread:

@@ -5,7 +5,7 @@ functional unit is a finite, per-name-unique set of them.  Two state
 spaces are built in: the unbounded counter (naturals) and the tape-like
 space of strings over {0,1,:} split around a head position, written
 ``left|right`` (``|1:0`` means the head sits on the first symbol of
-``1:0`` with nothing to its left); a tape state is the tuple
+``1:0`` with nothing to its left); a tape state is the named tuple
 ``(left, right)``, so it equals and hashes like that bare tuple and
 orders lexicographically.  ``TapeState(...)``, ``at_left`` and
 ``parse_tape`` reject non-strings and other symbols.  ``_tape`` skips
@@ -23,9 +23,9 @@ duplication operation.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from operator import itemgetter
 from typing import Any, Callable, Mapping
 
 from .program import (
@@ -44,26 +44,19 @@ TAPE_ALPHABET = frozenset("01:")
 _TAPE_SYMBOLS = "".join(TAPE_ALPHABET)
 
 
-class TapeState(tuple):
+class TapeState(namedtuple("TapeState", "left right")):
     """The tuple ``(left, right)`` of tape content split around the head,
     which is on the first symbol of ``right`` (past the end if empty).  It
     equals and hashes like the bare tuple; states order lexicographically."""
 
     __slots__ = ()
-    left = property(itemgetter(0))
-    right = property(itemgetter(1))
+    _make = classmethod(lambda cls, fields: cls(*fields))  # and so _replace: both check
 
     def __new__(cls, left: str = "", right: str = "") -> TapeState:
         for part in (left, right):
             if not isinstance(part, str) or part.strip(_TAPE_SYMBOLS):
                 raise InputError(f"tape symbols must be 0, 1 or ':': {part!r}")
         return tuple.__new__(cls, (left, right))
-
-    def __getnewargs__(self) -> tuple[str, str]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return "TapeState(left=%r, right=%r)" % self
 
     @property
     def content(self) -> str:
@@ -232,7 +225,7 @@ def _delete(s: TapeState) -> tuple[bool, TapeState]:
 
 
 def _tape_basic_ops() -> dict[str, MethodOperation]:
-    ops = {
+    return {
         "mvl": MethodOperation("mvl", _move_left),
         "mvr": MethodOperation("mvr", _move_right),
         "test:0": MethodOperation("test:0", _test("0")),
@@ -244,7 +237,6 @@ def _tape_basic_ops() -> dict[str, MethodOperation]:
         "write:colon": MethodOperation("write:colon", _write(":"), constant_reply=True),
         "delete": MethodOperation("delete", _delete),
     }
-    return ops
 
 
 _TAPE_BASIC = FunctionalUnit("tapebasic", _tape_basic_ops(), format_tape, parse_tape)
@@ -404,12 +396,9 @@ def _dup_witness_ir() -> list[str]:
     return items
 
 
-_DUP_WITNESS: Program | None = None
+_DUP_WITNESS = _assemble(_dup_witness_ir())
 
 
 def dup_witness_program() -> Program:
     """A tape-basic program whose derived operation equals ``dup_step``."""
-    global _DUP_WITNESS
-    if _DUP_WITNESS is None:
-        _DUP_WITNESS = _assemble(_dup_witness_ir())
     return _DUP_WITNESS

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import random
 
 from hypothesis import strategies as st
@@ -27,6 +28,13 @@ from seqhalt.threads import (
     TAU,
 )
 from seqhalt.units import TapeState, counter_unit, dup_unit, tape_basic_unit
+
+
+class Fuel(enum.IntEnum):
+    """An ``int`` subclass, which a fuel parameter rejects: fuel must be an
+    exact ``int``."""
+
+    TEN = 10
 
 
 def st_basic(foci=("f",), methods=("m", "test:0")):

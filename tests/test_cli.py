@@ -224,6 +224,19 @@ def test_check_interpreter_text(capsys):
     )
 
 
+def test_check_interpreter_sample_ok(capsys):
+    # !t reads no tape, so it agrees with a sample that dups once and halts.
+    y = encode(parse("f.dup;!t"))
+    y0 = "f.dup;!f"
+    assert invoke(capsys, "check-interpreter", "!t", "--sample", f"f.dup;!t@|{y}:1") == (
+        1,
+        f"sample f.dup;!t @ |{y}:1: ok\n"
+        f"diagonal {y0} @ |{encode(parse(y0))}: fail-reply\n"
+        "passed=false\n",
+        "",
+    )
+
+
 def test_check_interpreter_json(capsys):
     argv = ["check-interpreter", "f.dup;!t;!f", "--sample", "!t@|", "--sample", "f.dup;!t@|10", "--json"]
     code, out, err = invoke(capsys, *argv)

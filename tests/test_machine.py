@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_family, random_program
+from conftest import Fuel, random_family, random_program
 from seqhalt.machine import (
     Converged,
     DivergenceCause,
@@ -65,7 +65,7 @@ class TestRun:
         out = run(parse("f.succ;\\#1"), counter_family(0), fuel=1000)
         assert out == FuelExhausted(1000)
 
-    @pytest.mark.parametrize("fuel", [0, 1.5, "5", True])
+    @pytest.mark.parametrize("fuel", [0, 1.5, "5", True, Fuel.TEN])
     def test_fuel_must_be_an_int_of_at_least_1(self, fuel):
         with pytest.raises(InputError, match="^fuel must be"):
             run(parse("f.succ;\\#1"), counter_family(0), fuel)

@@ -189,6 +189,14 @@ def test_program_rejects_a_non_instruction():
             Program((FwdJump(1), stray, TERM_TRUE))
 
 
+@pytest.mark.parametrize(
+    "focus, method, message", [("F", "m", "bad focus 'F'"), ("f", "M", "bad method name 'M'")]
+)
+def test_basic_instruction_rejects_a_bad_name(focus, method, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        BasicInstruction(focus, method)
+
+
 def test_enumerate_counts():
     # 3 basic forms + 2 terminators + 4 jumps of each kind at offsets 0..3
     programs = list(enumerate_programs({"dup"}, 2))

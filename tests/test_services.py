@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FOCI, random_family, random_service
+from seqhalt.program import InputError
 from seqhalt.services import (
     EMPTY_SERVICE,
     Reply,
@@ -74,6 +75,11 @@ def test_singleton_has_one_entry():
     assert len(fam.entries) == 1
     fam2 = compose(fam, singleton_family("g", EMPTY_SERVICE))
     assert set(fam2.entries) == {"f", "g"}
+
+
+def test_singleton_rejects_a_bad_focus():
+    with pytest.raises(InputError, match="^bad focus 'F'$"):
+        singleton_family("F", EMPTY_SERVICE)
 
 
 def test_empty_service_is_absorbing():

@@ -279,6 +279,34 @@ class TestPostCond:
             assert type(t) is RegularThread and t == checked, x
 
 
+class TestRegularThread:
+    THREAD = RegularThread({1: PostCond(FM, "S+", "D"), "S+": STOP_TRUE, "D": DEADLOCK}, 1)
+
+    def test_repr(self):
+        assert repr(self.THREAD) == (
+            "RegularThread(nodes={1: PostCond(action=BasicInstruction(focus='f', method='m'), "
+            "then_ref='S+', else_ref='D'), 'S+': StopTrue(), 'D': Deadlock()}, root=1)"
+        )
+
+    def test_copies_and_pickles_as_threads(self):
+        t = self.THREAD
+        for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert type(clone) is RegularThread and clone == t
+
+    def test_make_and_replace_check(self):
+        with pytest.raises(InputError, match="^root 'x' is not a node$"):
+            self.THREAD._replace(root="x")
+        with pytest.raises(InputError, match="^node 0 is not a thread node: 'S\\+'$"):
+            RegularThread._make(({0: "S+"}, 0))
+        assert RegularThread._make((self.THREAD.nodes, 1)) == self.THREAD
+
+    def test_equals_the_bare_tuple_and_does_not_hash(self):
+        t = self.THREAD
+        assert t == (t.nodes, t.root)
+        with pytest.raises(TypeError):
+            hash(t)
+
+
 # One instance of every instruction type, placed before !t, with what the
 # walk answers for a first reply of True and of False.
 DISPATCH = [

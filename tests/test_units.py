@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_tape
+from conftest import Fuel, random_tape
 from seqhalt.machine import (
     UNDEFINED,
     UNKNOWN,
@@ -17,6 +17,8 @@ from seqhalt.machine import (
 from seqhalt.program import InputError, parse
 from seqhalt.units import (
     TAPE_ALPHABET,
+    FunctionalUnit,
+    MethodOperation,
     TapeState,
     at_left,
     counter_unit,
@@ -61,6 +63,10 @@ class TestInterfaces:
             assert unit_by_name(name).name == name
         with pytest.raises(ValueError):
             unit_by_name("nosuch")
+
+    def test_operation_under_another_name_rejected(self):
+        with pytest.raises(InputError, match="^operation 'dup' registered under 'copy'$"):
+            FunctionalUnit("dup", {"copy": MethodOperation("dup", dup_step)}, format_tape, parse_tape)
 
 
 class TestCounter:
@@ -155,6 +161,14 @@ class TestTapeState:
         state = TapeState("1", "0:11")
         for clone in (copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
             assert type(clone) is TapeState and clone == state
+
+    def test_make_and_replace_check(self):
+        state = TapeState("1", "0:11")
+        with pytest.raises(InputError):
+            state._replace(left="2")
+        with pytest.raises(InputError):
+            TapeState._make(("1", None))
+        assert type(state._replace(left="")) is TapeState and state._replace(left="") == at_left("0:11")
 
 
 # Every tape state with up to 4 symbols, the head at each position.
@@ -266,6 +280,11 @@ class TestDerivedOperation:
     def test_unknown_method_rejected(self):
         with pytest.raises(InputError, match="^'nope' not in interface of dup$"):
             derived_operation(parse("f.nope;!t"), dup_unit())
+
+    @pytest.mark.parametrize("fuel", [0, 1.5, True, Fuel.TEN])
+    def test_fuel_rejected_when_built(self, fuel):
+        with pytest.raises(InputError, match="^fuel must be"):
+            derived_operation(parse("!t"), dup_unit(), fuel)
 
 
 class TestDupWitness:
