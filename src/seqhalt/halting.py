@@ -210,7 +210,7 @@ def validate_solver(x: Program, form: str = "first") -> SolverVerdict:
     its own diagonal correctly; ``steps`` counts both runs.
     """
     _check_single_method(x, "dup")
-    builder = FORMS.get(form)
+    builder = FORMS.get(form) if type(form) is str else None
     if builder is None:
         raise InputError(f"form must be {' or '.join(map(repr, FORMS))}, not {form!r}")
     y = builder(x)

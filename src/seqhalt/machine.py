@@ -15,7 +15,8 @@ configuration by R. P. Brent's cycle finding (see ``_step_loop``), so
 it holds a fixed number of configurations whatever the fuel.
 ``run_total`` keys on the node only, which is sound when every reply
 involved has a declared state-independent value: each node then has a
-fixed successor, so revisiting one closes an infinite loop.
+fixed successor, so revisiting one closes an infinite loop, and the
+loop's table of resolved nodes serves as the set of visited nodes.
 
 A tau action is stepped like a basic one whose reply is always True,
 without touching a service.  ``run`` passes an optional trace hook one
@@ -47,6 +48,7 @@ from .threads import PostCond, RegularThread, StopFalse, StopTrue, Tau, ThreadNo
 from .units import FunctionalUnit, interface
 
 DEFAULT_FUEL = 10**6
+_UNBOUNDED = float("inf")  # the fuel of ``run_total``: no step count reaches it
 
 
 class DivergenceCause(enum.Enum):
@@ -84,17 +86,19 @@ def _as_thread(x: Program | RegularThread) -> RegularThread:
     return x if type(x) is RegularThread else extract(x)
 
 
-# What the step loop does on reaching a node, resolved once per run.  The
-# first four kinds pass the configuration and fuel checks first; the last
-# three end the run before them.
-_STEP, _TAU, _MISSING_FOCUS, _REPLY_D, _STOP_TRUE, _STOP_FALSE, _DEADLOCK = range(7)
+# What the step loop does on reaching a node, resolved once per run: a
+# step on a unit, a tau step, or, after the fuel test, an end stuck on a
+# missing focus or method, or at a terminal.
+_STEP, _TAU, _STUCK, _END = range(4)
+_TERMINAL_REPLIES = {StopTrue: True, StopFalse: False}  # and None for deadlock
 
 
 def _resolve_node(
     node: ThreadNode, entries: Mapping[str, Service], slots: Mapping[str, int]
 ) -> tuple:
-    """``(kind, slot, step, then_ref, else_ref)`` of a node, given the
-    family's entries and the slot of each focus that holds a unit."""
+    """``(kind, arg, step, then_ref, else_ref)`` of a node, given the
+    family's entries and the slot of each focus that holds a unit: ``arg``
+    is a step's slot, a stuck node's cause or a terminal's reply."""
     kind = type(node)
     if kind is PostCond:
         action, then_ref, else_ref = node
@@ -102,16 +106,12 @@ def _resolve_node(
             return _TAU, None, None, then_ref, else_ref
         service = entries.get(action.focus)
         if service is None:
-            return _MISSING_FOCUS, None, None, None, None
+            return _STUCK, DivergenceCause.MISSING_FOCUS, None, None, None
         step = service.unit.steps.get(action.method) if isinstance(service, UnitService) else None
         if step is None:
-            return _REPLY_D, None, None, None, None
+            return _STUCK, DivergenceCause.REPLY_D, None, None, None
         return _STEP, slots[action.focus], step, then_ref, else_ref
-    if kind is StopTrue:
-        return _STOP_TRUE, None, None, None, None
-    if kind is StopFalse:
-        return _STOP_FALSE, None, None, None, None
-    return _DEADLOCK, None, None, None, None
+    return _END, _TERMINAL_REPLIES.get(kind), None, None, None
 
 
 def _family(family: ServiceFamily, slots: Mapping[str, int], states: Sequence[Any]) -> ServiceFamily:
@@ -131,9 +131,9 @@ def _family(family: ServiceFamily, slots: Mapping[str, int], states: Sequence[An
 def _advance(resolved: dict, node: Any, states: list[Any]) -> Any:
     """The node after ``node``, a resolved ``_STEP`` or ``_TAU`` node,
     whose step runs on ``states`` in place."""
-    kind, slot, step, then_ref, else_ref = resolved[node]
+    kind, arg, step, then_ref, else_ref = resolved[node]
     if kind == _STEP:
-        reply, states[slot] = step(states[slot])
+        reply, states[arg] = step(states[arg])
     else:
         reply = True
     return then_ref if reply else else_ref
@@ -165,25 +165,25 @@ def _step_loop(thread: RegularThread, family: ServiceFamily, fuel: float) -> Out
     """The step loop of both evaluators.
 
     Each focus holding a unit gets a slot with that unit's state; the
-    units stay fixed for the run, since a Divergent reply ends it.  A
-    configuration is the node plus every slot's state under a finite
-    ``fuel``, the node alone under unbounded fuel, which only
-    ``run_total`` passes, after its constant-reply check.  Each visited
-    node is resolved to its slot and step function once.
+    units stay fixed for the run, since a Divergent reply ends it.  Each
+    visited node is resolved once, into the table ``resolved``.
 
-    Under unbounded fuel a repeated node proves a cycle.  Under a
-    finite ``fuel`` the loop saves the configuration, the mark, at each
-    power of two below ``fuel`` and at ``fuel``, and compares every
-    step's configuration with it (R. P. Brent, BIT 20, 1980).  A
-    configuration before a cycle never recurs, so a match at step s with
-    the mark of step c proves a cycle of period exactly s - c, and the
-    mark lies on it.  ``_cycle`` then finds where the cycle is entered,
-    replaying from the mark before when its window up to this mark was
-    at least the period long, and so saw the cycle if it lay on it, and
-    from the root otherwise.  A cycle that closes by ``fuel`` passes the
-    mark of ``fuel`` and meets it again within ``fuel`` steps, so no
-    match by step 2 * ``fuel`` is FUEL at ``fuel``; so is a run that ends
-    after step ``fuel``.
+    Under the fuel ``_UNBOUNDED``, which only ``run_total`` passes, after
+    its constant-reply check, a configuration is the node alone: the
+    table is the set of visited nodes, and a node found in it proves a
+    cycle.
+    Under a finite ``fuel`` it is the node plus every slot's state.  The
+    loop saves the configuration, the mark, at each power of two below
+    ``fuel`` and at ``fuel``, and compares every step's configuration
+    with it (R. P. Brent, BIT 20, 1980).  A configuration before a cycle
+    never recurs, so a match at step s with the mark of step c proves a
+    cycle of period exactly s - c, and the mark lies on it.  ``_cycle``
+    then finds where the cycle is entered, replaying from the mark
+    before when its window up to this mark was at least the period long,
+    and so saw the cycle if it lay on it, and from the root otherwise.  A
+    cycle that closes by ``fuel`` passes the mark of ``fuel`` and meets
+    it again within ``fuel`` steps, so no match by step 2 * ``fuel`` is
+    FUEL at ``fuel``; so is a run that ends after step ``fuel``.
     """
     entries = family.entries
     slots: dict[str, int] = {}
@@ -195,11 +195,7 @@ def _step_loop(thread: RegularThread, family: ServiceFamily, fuel: float) -> Out
     nodes = thread.nodes
     resolved: dict = {}
     current = thread.root
-    checkpoint = fuel < float("inf")
     steps = 0
-    # Under unbounded fuel, one node per step taken, so a step whose node
-    # was seen before leaves the set's size at ``steps``.
-    seen: set = set()
     # The node and states saved at step ``mark_step``, and those saved at
     # the mark before it, at ``before_step``.
     mark = marked = before = before_states = None
@@ -209,40 +205,37 @@ def _step_loop(thread: RegularThread, family: ServiceFamily, fuel: float) -> Out
         entry = resolved.get(current)
         if entry is None:
             entry = resolved[current] = _resolve_node(nodes[current], entries, slots)
-        kind, slot, step, then_ref, else_ref = entry
-        if kind >= _STOP_TRUE:
+        elif fuel is _UNBOUNDED:
+            return ProvenDivergent(DivergenceCause.CYCLE, steps)
+        kind, arg, step, then_ref, else_ref = entry
+        if kind == _END:
             if steps > fuel:
                 return FuelExhausted(fuel)
-            if kind == _DEADLOCK:
+            if arg is None:
                 return ProvenDivergent(DivergenceCause.DEADLOCK, steps)
-            return Converged(kind == _STOP_TRUE, _family(family, slots, states), steps)
-        if checkpoint:
-            if current == mark and states == marked:
-                period = steps - mark_step
-                # Before the first mark there is none: replay from the root.
-                if before_states is None or mark_step - before_step < period:
-                    before_step, before, before_states = 0, thread.root, [entries[f].state for f in slots]
-                return _cycle(resolved, before_step, before, before_states, period, fuel)
-            if steps == next_mark:
-                if steps > fuel:
-                    return FuelExhausted(fuel)
-                before_step, before, before_states = mark_step, mark, marked
-                mark_step, mark, marked = steps, current, list(states)
-                next_mark = fuel if steps < fuel <= 2 * steps else 2 * steps
-        else:
-            seen.add(current)
-            if len(seen) == steps:
-                return ProvenDivergent(DivergenceCause.CYCLE, steps)
+            return Converged(arg, _family(family, slots, states), steps)
+        # Under unbounded fuel neither test below can fire: a mark met again
+        # is a repeat, which the table caught, and no step passes the fuel.
+        if current == mark and states == marked:
+            period = steps - mark_step
+            # Before the first mark there is none: replay from the root.
+            if before_states is None or mark_step - before_step < period:
+                before_step, before, before_states = 0, thread.root, [entries[f].state for f in slots]
+            return _cycle(resolved, before_step, before, before_states, period, fuel)
+        if steps == next_mark:
+            if steps > fuel:
+                return FuelExhausted(fuel)
+            before_step, before, before_states = mark_step, mark, marked
+            mark_step, mark, marked = steps, current, list(states)
+            next_mark = fuel if steps < fuel <= 2 * steps else 2 * steps
         if kind == _STEP:
-            reply, states[slot] = step(states[slot])
+            reply, states[arg] = step(states[arg])
         elif kind == _TAU:
             reply = True
         elif steps >= fuel:
             return FuelExhausted(fuel)
-        elif kind == _MISSING_FOCUS:
-            return ProvenDivergent(DivergenceCause.MISSING_FOCUS, steps)
         else:
-            return ProvenDivergent(DivergenceCause.REPLY_D, steps)
+            return ProvenDivergent(arg, steps)
         steps += 1
         current = then_ref if reply else else_ref
 
@@ -320,7 +313,7 @@ def run_total(x: Program | RegularThread, family: ServiceFamily) -> Outcome:
                         raise InputError(f"{action} has no declared constant reply; use run()")
     # The configuration is the node only.  A run without repeated nodes
     # takes fewer steps than the thread has nodes, so it needs no fuel.
-    return _step_loop(thread, family, float("inf"))
+    return _step_loop(thread, family, _UNBOUNDED)
 
 
 def reply(

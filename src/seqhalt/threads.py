@@ -281,7 +281,10 @@ def project(depth: int, t: RegularThread | FiniteThread) -> FiniteThread:
     todo = [(t, depth)]
     while todo:
         node, n = todo.pop()
-        if n == 0 or not isinstance(node, TreeNode):
+        kind = type(node)
+        if kind is not TreeNode and kind not in _TERMINAL_TYPES:
+            raise InputError(f"not a thread: {node!r}")
+        if n == 0 or kind is not TreeNode:
             cut[id(node), n] = node if n else DEADLOCK
             continue
         then_branch = node.then_branch

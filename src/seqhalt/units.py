@@ -302,7 +302,7 @@ _UNITS = {unit.name: unit for unit in (_COUNTER, _TAPE_BASIC, _DUP, _HALTING_EMP
 
 
 def unit_by_name(name: str) -> FunctionalUnit:
-    if name not in _UNITS:
+    if type(name) is not str or name not in _UNITS:
         raise InputError(f"unknown unit {name!r}")
     return _UNITS[name]
 

@@ -443,8 +443,9 @@ class TestValidateSolver:
                 validate_solver(parse(candidate))
 
     def test_unknown_form_is_a_usage_error(self):
-        with pytest.raises(InputError, match="first.*second"):
-            validate_solver(parse("!t"), form="third")
+        for form in ("third", ["first"]):
+            with pytest.raises(InputError, match="first.*second"):
+                validate_solver(parse("!t"), form=form)
 
     def test_replay_checks_hypothesis(self):
         with pytest.raises(InputError, match="^f.mvl is not f.dup$"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import frozen_machine
 from conftest import random_thread
-from seqhalt.machine import run, run_total
+from seqhalt.machine import DivergenceCause, ProvenDivergent, run, run_total
 from seqhalt.program import (
     TERM_FALSE,
     TERM_TRUE,
@@ -22,8 +22,9 @@ from seqhalt.program import (
     Plain,
     PosTest,
     Program,
+    parse,
 )
-from seqhalt.services import EMPTY_SERVICE, ServiceFamily, UnitService
+from seqhalt.services import EMPTY_SERVICE, ServiceFamily, UnitService, parse_family
 from seqhalt.threads import TAU, PostCond, RegularThread, extract
 from seqhalt.units import (
     TapeState,
@@ -187,3 +188,28 @@ def test_run_total_matches_reference(methods, data):
     assert run_total_or_error(run_total, thread, family) == run_total_or_error(
         frozen_machine.run_total, thread, family
     )
+
+
+# Lassos whose every action has a constant reply on a counter, so that
+# ``run_total`` first revisits a node at steps up to 64, well past the
+# first steps at which the loop saves a mark (1, 2, 4 and 8).
+TOTAL_LASSO_ACTIONS = (TAU, BasicInstruction("f", "setzero"))
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), family=st_counter_family)
+def test_run_total_matches_reference_on_lassos(data, family):
+    action = st.sampled_from(TOTAL_LASSO_ACTIONS)
+    walk = data.draw(st.lists(action, max_size=40))
+    cycle = data.draw(st.lists(action, min_size=1, max_size=24))
+    thread = lasso(walk + cycle, len(walk))
+    assert run_total(thread, family) == frozen_machine.run_total(thread, family)
+
+
+@pytest.mark.parametrize("n", [1000, 1024])
+def test_run_total_proves_a_long_cycle(n):
+    thread = extract(parse("f.dup;" * n + "\\#%d" % n))
+    family = parse_family("f=dup:|1")
+    outcome = run_total(thread, family)
+    assert outcome == ProvenDivergent(DivergenceCause.CYCLE, n)
+    assert outcome == frozen_machine.run_total(thread, family)

@@ -125,6 +125,14 @@ class TestProjection:
             with pytest.raises(ValueError, match="depth must be a natural number"):
                 projections_agree(t1, t1, depth)
 
+    def test_non_thread_rejected(self):
+        junk_branch = TreeNode(FM, "junk", STOP_TRUE)
+        for depth, t in (
+            (2, parse("!t")), (2, None), (0, None), (0, (STOP_TRUE,)), (1, junk_branch), (2, junk_branch),
+        ):
+            with pytest.raises(InputError, match="^not a thread: "):
+                project(depth, t)
+
     def test_tau_normalised(self):
         regular = RegularThread({0: PostCond(TAU, 1, 2), 1: STOP_TRUE, 2: STOP_FALSE}, 0)
         for t in (regular, TreeNode(TAU, STOP_TRUE, STOP_FALSE)):

@@ -61,8 +61,9 @@ class TestInterfaces:
     def test_registry(self):
         for name in ("counter", "tapebasic", "dup", "halting-empty"):
             assert unit_by_name(name).name == name
-        with pytest.raises(ValueError):
-            unit_by_name("nosuch")
+        for name in ("nosuch", ["dup"]):
+            with pytest.raises(ValueError):
+                unit_by_name(name)
 
     def test_operation_under_another_name_rejected(self):
         with pytest.raises(InputError, match="^operation 'dup' registered under 'copy'$"):
