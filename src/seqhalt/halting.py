@@ -30,8 +30,7 @@ symbol check (``_encoded_tape``): ``encode`` writes only 0s and 1s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .machine import Converged, Outcome, ProvenDivergent, converges, run_total
 from .program import (
@@ -177,14 +176,12 @@ def _encoded_tape(*words: str) -> TapeState:
 # --- solver validation -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RefutedByDivergence:
+class RefutedByDivergence(NamedTuple):
     witness_state: TapeState
     steps: int
 
 
-@dataclass(frozen=True)
-class RefutedByWrongReply:
+class RefutedByWrongReply(NamedTuple):
     witness_program: Program
     witness_state: TapeState
     claimed: bool
@@ -192,8 +189,7 @@ class RefutedByWrongReply:
     steps: int
 
 
-@dataclass(frozen=True)
-class NotRefuted:
+class NotRefuted(NamedTuple):
     steps: int
 
 
@@ -269,16 +265,14 @@ def verdict_record(candidate: Program, verdict: SolverVerdict) -> dict:
 # --- interpreter checking ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SampleCheck:
+class SampleCheck(NamedTuple):
     program: Program
     state: TapeState
     status: str
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class InterpreterReport:
+class InterpreterReport(NamedTuple):
     candidate: Program
     samples: tuple[SampleCheck, ...]
     diagonal: SampleCheck

@@ -30,8 +30,7 @@ unit: one ``run`` against the singleton family holding the unit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence, Union
+from typing import Any, Callable, Mapping, NamedTuple, Sequence, Union
 
 from .program import FOCUS, BasicInstruction, InputError, Program, _Sentinel, foreign_action
 from .services import (
@@ -61,21 +60,18 @@ class DivergenceCause(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Converged:
+class Converged(NamedTuple):
     reply: bool
     family: ServiceFamily
     steps: int
 
 
-@dataclass(frozen=True)
-class ProvenDivergent:
+class ProvenDivergent(NamedTuple):
     cause: DivergenceCause
     steps: int
 
 
-@dataclass(frozen=True)
-class FuelExhausted:
+class FuelExhausted(NamedTuple):
     steps: int
 
 
@@ -357,8 +353,7 @@ def converges(
 # --- derived method operations ------------------------------------------
 
 
-@dataclass(frozen=True)
-class Applied:
+class Applied(NamedTuple):
     reply: bool
     state: Any
 

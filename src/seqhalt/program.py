@@ -53,9 +53,9 @@ class BasicInstruction:
     method: str
 
     def __post_init__(self):
-        if not _FOCUS_RE.match(self.focus):
+        if type(self.focus) is not str or not _FOCUS_RE.match(self.focus):
             raise InputError(f"bad focus {self.focus!r}")
-        if not _METHOD_RE.match(self.method):
+        if type(self.method) is not str or not _METHOD_RE.match(self.method):
             raise InputError(f"bad method name {self.method!r}")
 
     def __str__(self) -> str:
@@ -198,7 +198,7 @@ def _parse_basic(token: str, position: int) -> BasicInstruction:
 def read_natural(text: str) -> int | None:
     """``text`` read as a decimal natural (no sign, no leading zeros); None if
     it is none, or has more digits than ``int`` converts."""
-    if not _COUNT_RE.match(text):
+    if type(text) is not str or not _COUNT_RE.match(text):
         return None
     try:
         return int(text)
@@ -225,6 +225,8 @@ def _parse_one(token: str, position: int) -> Instruction:
 
 def parse(text: str) -> Program:
     """Parse canonical program text; inverse of :func:`render`."""
+    if type(text) is not str:
+        raise ProgramSyntaxError(f"program text must be a string: {text!r}")
     body = text.strip()
     if not body:
         raise ProgramSyntaxError("program has no instructions")
@@ -264,8 +266,9 @@ _BYTES = re.compile(r"(?:[01]{8})+\Z")
 
 
 def decode(bits: str) -> Program | _Sentinel:
-    """Inverse of :func:`encode` on its image; NOT_AN_ENCODING elsewhere."""
-    if not _BYTES.match(bits):
+    """Inverse of :func:`encode` on its image; NOT_AN_ENCODING elsewhere,
+    also for a value that is not a string."""
+    if type(bits) is not str or not _BYTES.match(bits):
         return NOT_AN_ENCODING
     try:
         return parse(int(bits, 2).to_bytes(len(bits) // 8, "big").decode("ascii"))

@@ -63,7 +63,7 @@ def empty_family() -> ServiceFamily:
 
 
 def singleton_family(focus: str, service: Service) -> ServiceFamily:
-    if not _FOCUS_RE.match(focus):
+    if type(focus) is not str or not _FOCUS_RE.match(focus):
         raise InputError(f"bad focus {focus!r}")
     return ServiceFamily({focus: service})
 
@@ -101,6 +101,8 @@ def format_family(family: ServiceFamily | Mapping[str, Service]) -> str:
 def parse_family(text: str) -> ServiceFamily:
     """Parse a family literal like ``f=counter:0,g=dup:|10``; the empty
     string is the empty family."""
+    if type(text) is not str:
+        raise InputError(f"family literal must be a string: {text!r}")
     text = text.strip()
     if not text:
         return empty_family()

@@ -282,7 +282,7 @@ def project(depth: int, t: RegularThread | FiniteThread) -> FiniteThread:
     while todo:
         node, n = todo.pop()
         kind = type(node)
-        if kind is not TreeNode and kind not in _TERMINAL_TYPES:
+        if kind not in _TERMINAL_TYPES and (kind is not TreeNode or type(node.action) not in _ACTION_TYPES):
             raise InputError(f"not a thread: {node!r}")
         if n == 0 or kind is not TreeNode:
             cut[id(node), n] = node if n else DEADLOCK

@@ -82,9 +82,9 @@ def format_tape(state: TapeState) -> str:
 
 
 def parse_tape(text: str) -> TapeState:
-    left, bar, right = text.partition("|")
-    if not bar:
+    if type(text) is not str or "|" not in text:
         raise InputError(f"tape literal needs a head marker '|': {text!r}")
+    left, _, right = text.partition("|")
     return TapeState(left, right)
 
 

@@ -1,5 +1,8 @@
+import copy
+import pickle
 import random
 import tracemalloc
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +14,12 @@ from seqhalt.machine import Converged, FuelExhausted, ProvenDivergent, run
 from seqhalt.program import InputError, Program, TermFalse, TermTrue, encode, enumerate_programs, parse, render
 from seqhalt.services import Reply, UnitService, singleton_family
 from seqhalt.halting import (
+    InterpreterReport,
     NotRefuted,
     RefutedByDivergence,
     RefutedByWrongReply,
+    SampleCheck,
+    SolverVerdict,
     check_interpreter,
     decide_halting_dup,
     decide_halting_empty_ext,
@@ -615,3 +621,64 @@ class TestSweepsKeepTenCounterexamples:
         result = halting.sweep_diagonal(2)
         assert (result["refuted"], result["not-refuted"]) == (0, len(list(enumerate_programs({"dup"}, 2))))
         assert len(result["counterexamples"]) == 10
+
+
+class TestAnswerRecords:
+    """The solver verdicts and the interpreter reports are named tuples,
+    with the fields, repr, copies and pickles they had as frozen
+    dataclasses."""
+
+    X = parse("f.dup;!t")
+    OK = SampleCheck(X, at_left("01"), "ok")
+    RECORDS = [
+        RefutedByDivergence(at_left("0:1"), 3),
+        RefutedByWrongReply(X, at_left("1"), True, False, 5),
+        NotRefuted(2),
+        OK,
+        InterpreterReport(X, (OK,), OK, True),
+    ]
+    X_TEXT = "Program(instructions=(Plain(action=BasicInstruction(focus='f', method='dup')), TermTrue()))"
+    OK_TEXT = f"SampleCheck(program={X_TEXT}, state=TapeState(left='', right='01'), status='ok', detail='')"
+
+    def test_fields(self):
+        assert RefutedByDivergence._fields == ("witness_state", "steps")
+        assert RefutedByWrongReply._fields == ("witness_program", "witness_state", "claimed", "actual", "steps")
+        assert NotRefuted._fields == ("steps",)
+        assert SampleCheck._fields == ("program", "state", "status", "detail")
+        assert SampleCheck._field_defaults == {"detail": ""}
+        assert InterpreterReport._fields == ("candidate", "samples", "diagonal", "passed")
+
+    def test_repr(self):
+        assert [repr(r) for r in self.RECORDS] == [
+            "RefutedByDivergence(witness_state=TapeState(left='', right='0:1'), steps=3)",
+            f"RefutedByWrongReply(witness_program={self.X_TEXT}, witness_state=TapeState(left='', right='1'), "
+            "claimed=True, actual=False, steps=5)",
+            "NotRefuted(steps=2)",
+            self.OK_TEXT,
+            f"InterpreterReport(candidate={self.X_TEXT}, samples=({self.OK_TEXT},), diagonal={self.OK_TEXT}, "
+            "passed=True)",
+        ]
+
+    def test_copies_and_pickles_as_records(self):
+        for record in self.RECORDS:
+            for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+                assert type(clone) is type(record) and clone == record
+            hash(record)
+
+    def test_fields_cannot_be_assigned(self):
+        for record in self.RECORDS:
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], None)
+
+    def test_equals_the_bare_tuple(self):
+        program, state, status, detail = self.OK
+        assert self.OK == (program, state, status, detail) == (self.X, at_left("01"), "ok", "")
+        assert NotRefuted(2) == (2,) and NotRefuted(1) < NotRefuted(2) and len(self.RECORDS[1]) == 5
+        # The widening: records of different unions may compare equal.  No
+        # code compares a verdict with a run outcome.
+        assert NotRefuted(2) == FuelExhausted(2)
+
+    def test_no_two_verdict_kinds_compare_equal(self):
+        # The record rule: siblings of one union differ in field count.
+        kinds = get_args(SolverVerdict)
+        assert len({len(kind._fields) for kind in kinds}) == len(kinds) == 3

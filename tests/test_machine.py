@@ -1,5 +1,8 @@
+import copy
+import pickle
 import random
 import tracemalloc
+from typing import get_args
 
 import pytest
 from hypothesis import given
@@ -7,9 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import Fuel, random_family, random_program
 from seqhalt.machine import (
+    Applied,
     Converged,
     DivergenceCause,
     FuelExhausted,
+    Outcome,
     ProvenDivergent,
     apply,
     converges,
@@ -18,7 +23,7 @@ from seqhalt.machine import (
     run_total,
 )
 from seqhalt.program import InputError, parse
-from seqhalt.services import Reply, UnitService, empty_family, parse_family, singleton_family
+from seqhalt.services import EMPTY_SERVICE, Reply, UnitService, empty_family, parse_family, singleton_family
 from seqhalt.threads import PostCond, RegularThread, STOP_TRUE, TAU
 from seqhalt.units import FunctionalUnit, MethodOperation, at_left, counter_unit, dup_unit
 
@@ -277,3 +282,55 @@ def _shift(node):
     if isinstance(node, PostCond):
         return PostCond(node.action, ("w", node.then_ref), ("w", node.else_ref))
     return node
+
+
+class TestAnswerRecords:
+    """The run outcomes and ``Applied`` are named tuples, with the fields,
+    repr, copies and pickles they had as frozen dataclasses."""
+
+    CONVERGED = Converged(True, singleton_family("f", EMPTY_SERVICE), 1)
+    # The records that pickle and hash: no unit, so no local function.
+    PLAIN = [ProvenDivergent(DivergenceCause.CYCLE, 4), FuelExhausted(7), Applied(True, at_left("1:1"))]
+
+    def test_fields(self):
+        assert Converged._fields == ("reply", "family", "steps")
+        assert ProvenDivergent._fields == ("cause", "steps")
+        assert FuelExhausted._fields == ("steps",)
+        assert Applied._fields == ("reply", "state")
+
+    def test_repr(self):
+        assert [repr(r) for r in (self.CONVERGED, *self.PLAIN)] == [
+            "Converged(reply=True, family=ServiceFamily(entries={'f': EMPTY_SERVICE}), steps=1)",
+            "ProvenDivergent(cause=<DivergenceCause.CYCLE: 'cycle'>, steps=4)",
+            "FuelExhausted(steps=7)",
+            "Applied(reply=True, state=TapeState(left='', right='1:1'))",
+        ]
+
+    def test_copies_and_pickles_as_records(self):
+        for record in self.PLAIN:
+            for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+                assert type(clone) is type(record) and clone == record
+            hash(record)
+
+    def test_a_converged_run_does_not_hash(self):
+        # Its family holds a dict.
+        for outcome in (self.CONVERGED, run(parse("f.dup;!t"), dup_family("1"))):
+            with pytest.raises(TypeError):
+                hash(outcome)
+
+    def test_fields_cannot_be_assigned(self):
+        for record in (self.CONVERGED, *self.PLAIN):
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], None)
+
+    def test_equals_the_bare_tuple(self):
+        reply, family, steps = self.CONVERGED
+        assert self.CONVERGED == (reply, family, steps) and len(self.CONVERGED) == 3
+        assert ProvenDivergent(DivergenceCause.CYCLE, 4) == (DivergenceCause.CYCLE, 4)
+        assert FuelExhausted(7) == (7,) and FuelExhausted(6) < FuelExhausted(7)
+        assert Applied(True, at_left("1:1")) == (True, at_left("1:1"))
+
+    def test_no_two_outcome_kinds_compare_equal(self):
+        # The record rule: siblings of one union differ in field count.
+        kinds = get_args(Outcome)
+        assert len({len(kind._fields) for kind in kinds}) == len(kinds) == 3

@@ -54,7 +54,7 @@ def test_parse_rejects_empty_program():
 
 @pytest.mark.parametrize(
     "text",
-    ["f", "f.", ".m", "+#1", "#01", "#-1", "\\#x", "F.m", "f.M", "!x", "f..m", "f.m;+"],
+    ["f", "f.", ".m", "+#1", "#01", "#-1", "\\#x", "F.m", "f.M", "!x", "f..m", "f.m;+", None],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(ProgramSyntaxError):
@@ -105,6 +105,7 @@ def test_decode_inverts_encode(x):
         "٠١" * 8,  # ... and non-ASCII digits
         # "#" and a counter past int()'s default limit of 4300 digits
         pytest.param("".join(format(byte, "08b") for byte in ("#" + "1" * 5000).encode()), id="long-jump"),
+        5,  # not a string
     ],
 )
 def test_decode_rejects_non_encodings(bits):
@@ -190,7 +191,13 @@ def test_program_rejects_a_non_instruction():
 
 
 @pytest.mark.parametrize(
-    "focus, method, message", [("F", "m", "bad focus 'F'"), ("f", "M", "bad method name 'M'")]
+    "focus, method, message",
+    [
+        ("F", "m", "bad focus 'F'"),
+        ("f", "M", "bad method name 'M'"),
+        (["f"], "m", r"bad focus \['f'\]"),
+        ("f", 3, "bad method name 3"),
+    ],
 )
 def test_basic_instruction_rejects_a_bad_name(focus, method, message):
     with pytest.raises(InputError, match=f"^{message}$"):

@@ -78,8 +78,9 @@ def test_singleton_has_one_entry():
 
 
 def test_singleton_rejects_a_bad_focus():
-    with pytest.raises(InputError, match="^bad focus 'F'$"):
-        singleton_family("F", EMPTY_SERVICE)
+    for focus, shown in (("F", "'F'"), (["f"], r"\['f'\]")):
+        with pytest.raises(InputError, match=f"^bad focus {shown}$"):
+            singleton_family(focus, EMPTY_SERVICE)
 
 
 def test_empty_service_is_absorbing():
@@ -126,6 +127,7 @@ def test_family_literal_round_trip():
     [
         "f", "f=", "f=counter", "f=nosuch:0", "1f=counter:0", "f=counter:0,f=counter:1",
         "f=counter:1_0", "f=counter:+5", "f=counter: 7", "f=counter:\u0663", "f=counter:-1", "f=counter:07",
+        ["f=counter:0"],
     ],
 )
 def test_family_literal_rejects(text):

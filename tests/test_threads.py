@@ -127,8 +127,10 @@ class TestProjection:
 
     def test_non_thread_rejected(self):
         junk_branch = TreeNode(FM, "junk", STOP_TRUE)
+        junk_action = TreeNode("junk", STOP_TRUE, STOP_TRUE)
         for depth, t in (
             (2, parse("!t")), (2, None), (0, None), (0, (STOP_TRUE,)), (1, junk_branch), (2, junk_branch),
+            (1, junk_action), (2, junk_action), (2, TreeNode(FM, junk_action, STOP_TRUE)),
         ):
             with pytest.raises(InputError, match="^not a thread: "):
                 project(depth, t)

@@ -87,6 +87,11 @@ class TestCounter:
             assert isinstance(reply, bool)
             assert isinstance(successor, int) and successor >= 0
 
+    def test_state_literal_rejects_a_non_numeral(self):
+        for text in ("x", "07", 5):
+            with pytest.raises(InputError, match="^counter state must be a natural number: "):
+                counter_unit().parse_state(text)
+
 
 class TestTapeState:
     def test_literals(self):
@@ -94,8 +99,9 @@ class TestTapeState:
         assert parse_tape("|10") == at_left("10")
         assert parse_tape("|") == TapeState("", "")
         assert format_tape(TapeState("1", ":0")) == "1|:0"
-        with pytest.raises(ValueError):
-            parse_tape("10")
+        for text in ("10", 5):
+            with pytest.raises(InputError, match="^tape literal needs a head marker '\\|': "):
+                parse_tape(text)
         for build in (
             lambda: TapeState("2", ""),
             lambda: TapeState("", "2"),
