@@ -188,11 +188,21 @@ def render(x: Program) -> str:
     return ";".join([_TEXT[type(u)](u) for u in x.instructions])
 
 
+def _basic(focus: str, method: str) -> BasicInstruction:
+    """A ``BasicInstruction`` set up as its ``__init__`` does, without the
+    check of its ``__post_init__``, for ``_parse_basic`` only, which has
+    matched both parts already."""
+    action = object.__new__(BasicInstruction)
+    object.__setattr__(action, "focus", focus)
+    object.__setattr__(action, "method", method)
+    return action
+
+
 def _parse_basic(token: str, position: int) -> BasicInstruction:
     focus, dot, method = token.partition(".")
     if not dot or not _FOCUS_RE.match(focus) or not _METHOD_RE.match(method):
         raise ProgramSyntaxError(f"bad instruction {token!r}", position)
-    return BasicInstruction(focus, method)
+    return _basic(focus, method)
 
 
 def read_natural(text: str) -> int | None:

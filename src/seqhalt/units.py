@@ -10,7 +10,8 @@ space of strings over {0,1,:} split around a head position, written
 orders lexicographically.  ``TapeState(...)``, ``at_left`` and
 ``parse_tape`` reject non-strings and other symbols.  ``_tape`` skips
 the check, for the tape operations (they only move, copy or write
-alphabet symbols) and ``halting._encoded_tape`` (0s and 1s) only.
+alphabet symbols), for ``at_left`` once it has checked its one word and
+for ``halting._encoded_tape`` (0s and 1s) only.
 
 The stock units are the four-operation counter, the single-operation
 duplication unit, the tape-basic unit whose operations are the
@@ -53,9 +54,12 @@ class TapeState(namedtuple("TapeState", "left right")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # and so _replace: both check
 
     def __new__(cls, left: str = "", right: str = "") -> TapeState:
-        for part in (left, right):
-            if not isinstance(part, str) or part.strip(_TAPE_SYMBOLS):
-                raise InputError(f"tape symbols must be 0, 1 or ':': {part!r}")
+        # Each part inline: a loop over a tuple built per call took about
+        # a tenth longer.
+        if not isinstance(left, str) or left.strip(_TAPE_SYMBOLS):
+            raise _bad_symbols(left)
+        if not isinstance(right, str) or right.strip(_TAPE_SYMBOLS):
+            raise _bad_symbols(right)
         return tuple.__new__(cls, (left, right))
 
     @property
@@ -67,14 +71,20 @@ class TapeState(namedtuple("TapeState", "left right")):
 
 
 # A ``TapeState`` from its ``(left, right)`` pair without the symbol
-# check, for the tape operations and ``halting._encoded_tape`` only; see
-# the module docstring.
+# check, for the tape operations, ``at_left`` after its own check and
+# ``halting._encoded_tape`` only; see the module docstring.
 _tape = partial(tuple.__new__, TapeState)
+
+
+def _bad_symbols(part: object) -> InputError:
+    return InputError(f"tape symbols must be 0, 1 or ':': {part!r}")
 
 
 def at_left(word: str) -> TapeState:
     """State with the head on the first symbol of ``word``."""
-    return TapeState("", word)
+    if not isinstance(word, str) or word.strip(_TAPE_SYMBOLS):
+        raise _bad_symbols(word)
+    return _tape(("", word))
 
 
 def format_tape(state: TapeState) -> str:
@@ -122,7 +132,8 @@ def _checked_step(unit_name: str, op: MethodOperation) -> Callable[[Any], tuple[
 @dataclass(frozen=True)
 class FunctionalUnit:
     """A named set of operations.  ``steps`` maps each method to its
-    step function, built once with the unit by ``_checked_step``."""
+    step function, built once with the unit by ``_checked_step``;
+    ``varying`` holds the methods that declare no constant reply."""
 
     name: str
     operations: Mapping[str, MethodOperation]
@@ -131,6 +142,7 @@ class FunctionalUnit:
     steps: Mapping[str, Callable[[Any], tuple[bool, Any]]] = field(
         init=False, repr=False, compare=False
     )
+    varying: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for key, op in self.operations.items():
@@ -138,6 +150,8 @@ class FunctionalUnit:
                 raise InputError(f"operation {op.name!r} registered under {key!r}")
         steps = {key: _checked_step(self.name, op) for key, op in self.operations.items()}
         object.__setattr__(self, "steps", steps)
+        varying = frozenset(key for key, op in self.operations.items() if op.constant_reply is None)
+        object.__setattr__(self, "varying", varying)
 
 
 def interface(unit: FunctionalUnit) -> frozenset[str]:
@@ -246,10 +260,10 @@ def tape_basic_unit() -> FunctionalUnit:
     return _TAPE_BASIC
 
 
-def _halting_reply(content: str) -> bool:
-    """Reply of the halting operation on a tape with this content: True
-    iff the part before the first ':' encodes a halting-unit program
-    that halts on the rest.
+def _halting_reply(left: str, right: str) -> bool:
+    """Reply of the halting operation on the tape ``left|right``: True
+    iff the part of its content ``left + right`` before the first ':'
+    encodes a halting-unit program that halts on the rest.
 
     The rest is answered the same way, so the reply folds from the right
     over the leading segments that encode halting-unit programs, starting
@@ -261,9 +275,11 @@ def _halting_reply(content: str) -> bool:
     # symbols encodes no program; a content without ':' (find gives -1)
     # has no segment to fold.  Either way the reply is False.  A first
     # segment of 8 symbols and its ':' need 9 symbols, and the length
-    # alone answers the short words most calls pass.
-    if len(content) < 9:
+    # alone answers the short words most calls pass, before the content
+    # is built.
+    if len(left) + len(right) < 9:
         return False
+    content = left + right
     end = content.find(":")
     if end < 8:
         return False
@@ -284,8 +300,8 @@ def _halting_reply(content: str) -> bool:
 
 def halting_op_step(state: TapeState) -> tuple[bool, TapeState]:
     """The halting oracle as a method operation: reply per
-    ``_halting_reply`` on the tape content, and reset the tape to empty."""
-    return _halting_reply(state.content), _tape(("", ""))
+    ``_halting_reply`` on the tape, and reset the tape to empty."""
+    return _halting_reply(state.left, state.right), _tape(("", ""))
 
 
 _HALTING_EMPTY = FunctionalUnit(

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 import tracemalloc
@@ -8,10 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frozen_walk
 from conftest import random_program, st_program
 from seqhalt import halting
 from seqhalt.machine import Converged, FuelExhausted, ProvenDivergent, run
-from seqhalt.program import InputError, Program, TermFalse, TermTrue, encode, enumerate_programs, parse, render
+from seqhalt.program import (
+    NOT_AN_ENCODING,
+    BasicInstruction,
+    InputError,
+    Program,
+    TermFalse,
+    TermTrue,
+    decode,
+    encode,
+    enumerate_programs,
+    parse,
+    render,
+)
 from seqhalt.services import Reply, UnitService, singleton_family
 from seqhalt.halting import (
     InterpreterReport,
@@ -34,7 +48,15 @@ from seqhalt.halting import (
     validate_solver,
     verdict_record,
 )
-from seqhalt.units import TapeState, at_left, counter_unit, dup_unit, halting_empty_unit, halting_op_step
+from seqhalt.units import (
+    TapeState,
+    _halting_reply,
+    at_left,
+    counter_unit,
+    dup_unit,
+    halting_empty_unit,
+    halting_op_step,
+)
 
 
 # Every dup program up to length 3: the candidates of the exhaustive checks.
@@ -135,6 +157,22 @@ class TestLeadsToFirstApplication:
                 leads_to_first_application(x, i)
 
 
+_HALTING_ACTION = BasicInstruction("f", "halting")
+
+
+def reference_reply(content):
+    """The oracle's reply by its definition, with no length test: the
+    first segment must encode a program over ``f.halting`` alone, which
+    the reference walk then runs with the reply on the rest first."""
+    segment, colon, rest = content.partition(":")
+    y = decode(segment)
+    if not colon or y is NOT_AN_ENCODING:
+        return False
+    if any(hasattr(u, "action") and u.action != _HALTING_ACTION for u in y):
+        return False
+    return frozen_walk.halts(y, reference_reply(rest), False)
+
+
 class TestHaltingOracle:
     def test_plain_bits_reply_false(self):
         assert halting_op_step(at_left("101")) == (False, at_left(""))
@@ -202,6 +240,31 @@ class TestHaltingOracle:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**10
+
+    def test_reply_matches_the_reference_fold_on_every_short_word(self):
+        # Every word over 0, 1 and ':' of up to 10 symbols, split at each
+        # cut: the length test must answer exactly where the fold would.
+        for size in range(11):
+            for word in map("".join, itertools.product("01:", repeat=size)):
+                expected = reference_reply(word)
+                for cut in range(size + 1):
+                    assert _halting_reply(word[:cut], word[cut:]) is expected, (word, cut)
+
+    def test_reply_matches_the_reference_fold_on_reflexive_words(self):
+        rests = ["", "0", "1:0", encode(parse("!t")) + ":", encode(parse("#0")) + ":1"]
+        rests += [encode(parse(text)) + ":" + rest for text in ("+f.halting;!t;#0", "f.dup;!t") for rest in rests]
+        programs = [*enumerate_programs({"halting"}, 2), parse("f.dup;!t"), parse("+f.halting;!t;#0")]
+        true = 0
+        for z in programs:
+            ybar = encode(z)
+            for rest in rests:
+                word = f"{ybar}:{rest}"
+                expected = reference_reply(word)
+                true += expected
+                for cut in {0, 1, len(ybar) // 2, len(ybar), len(ybar) + 1, len(word) - 1, len(word)}:
+                    assert _halting_reply(word[:cut], word[cut:]) is expected, (render(z), rest, cut)
+        # Both replies occur.
+        assert 0 < true < len(programs) * len(rests)
 
     def test_effect_always_resets_tape(self):
         rng = random.Random(3)

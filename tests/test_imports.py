@@ -387,3 +387,22 @@ def test_unchecked_thread_use_is_found():
     )
     assert uses_outside(tree, "_thread", "extract") == [4, 5, 6, 8]
     assert uses_outside(tree, "_thread", None) == [3, 4, 5, 6, 8]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_unchecked_basic_instructions_only_from_parse(path):
+    # program._basic skips BasicInstruction's check.  Only parse's helper
+    # _parse_basic may call it, on a focus and a method it has matched.
+    helper = "_parse_basic" if path.name == "program.py" else None
+    assert uses_outside(ast.parse(path.read_text()), "_basic", helper) == []
+
+
+def test_unchecked_basic_instruction_use_is_found():
+    tree = ast.parse(
+        "from seqhalt import program\nfrom seqhalt.program import _basic\n"
+        "def _parse_basic(t): return _basic('f', t)\n"
+        "a = _basic('f', 'M')\nb = program._basic('f', 'M')\nc = map(_basic, [])\n"
+        "def parse(t):\n    return _basic('f', t)\ne = basic('f', 'M')\n"
+    )
+    assert uses_outside(tree, "_basic", "_parse_basic") == [4, 5, 6, 8]
+    assert uses_outside(tree, "_basic", None) == [3, 4, 5, 6, 8]

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import sys
 
 import pytest
@@ -59,6 +62,43 @@ def test_parse_rejects_empty_program():
 def test_parse_rejects_malformed(text):
     with pytest.raises(ProgramSyntaxError):
         parse(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("f.M", "bad instruction 'f.M' (at character 0)"),
+        ("F.m", "bad instruction 'F.m' (at character 0)"),
+        ("!t;+#1", "bad instruction '#1' (at character 3)"),
+        ("f.m;+", "bad instruction '' (at character 4)"),
+        ("f..m", "bad instruction 'f..m' (at character 0)"),
+        ("#01", "bad jump counter in '#01' (at character 0)"),
+    ],
+)
+def test_parse_names_the_bad_instruction(text, message):
+    with pytest.raises(ProgramSyntaxError) as caught:
+        parse(text)
+    assert str(caught.value) == message
+
+
+@given(st_program())
+def test_parsed_actions_are_checked_actions(x):
+    # parse builds its actions without BasicInstruction's second check;
+    # each must still be one the checked constructor builds alike.
+    for u in parse(render(x)):
+        if type(u) in (Plain, PosTest, NegTest):
+            checked = BasicInstruction(u.action.focus, u.action.method)
+            assert type(u.action) is BasicInstruction
+            assert u.action == checked and hash(u.action) == hash(checked)
+            assert repr(u.action) == repr(checked)
+
+
+def test_parsed_action_is_a_frozen_record():
+    action = parse("+f.write:0").at(1).action
+    for clone in (copy.copy(action), copy.deepcopy(action), pickle.loads(pickle.dumps(action))):
+        assert type(clone) is BasicInstruction and clone == action
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        action.method = "M"
 
 
 def test_render_canonical():

@@ -123,6 +123,44 @@ class TestTapeState:
             with pytest.raises(InputError, match="tape symbols must be 0, 1 or ':'"):
                 build()
 
+    # Each reader's rejected inputs and the message it raises for each.
+    REJECTED = [
+        (lambda: TapeState(None, ""), "tape symbols must be 0, 1 or ':': None"),
+        (lambda: TapeState("", b"01"), "tape symbols must be 0, 1 or ':': b'01'"),
+        (lambda: TapeState(left=["0"]), "tape symbols must be 0, 1 or ':': ['0']"),
+        (lambda: TapeState(right=("1",)), "tape symbols must be 0, 1 or ':': ('1',)"),
+        (lambda: TapeState("2", ""), "tape symbols must be 0, 1 or ':': '2'"),
+        (lambda: TapeState("", "0a"), "tape symbols must be 0, 1 or ':': '0a'"),
+        (lambda: TapeState("0 ", "1"), "tape symbols must be 0, 1 or ':': '0 '"),
+        # Both parts bad: the left one is named.
+        (lambda: TapeState("x", 5), "tape symbols must be 0, 1 or ':': 'x'"),
+        (lambda: TapeState(5, "x"), "tape symbols must be 0, 1 or ':': 5"),
+        (lambda: at_left(None), "tape symbols must be 0, 1 or ':': None"),
+        (lambda: at_left(b""), "tape symbols must be 0, 1 or ':': b''"),
+        (lambda: at_left(10), "tape symbols must be 0, 1 or ':': 10"),
+        (lambda: at_left("0a"), "tape symbols must be 0, 1 or ':': '0a'"),
+        (lambda: at_left("|1"), "tape symbols must be 0, 1 or ':': '|1'"),
+        (lambda: parse_tape(5), "tape literal needs a head marker '|': 5"),
+        (lambda: parse_tape(b"|1"), "tape literal needs a head marker '|': b'|1'"),
+        (lambda: parse_tape("10"), "tape literal needs a head marker '|': '10'"),
+        (lambda: parse_tape("1|x"), "tape symbols must be 0, 1 or ':': 'x'"),
+        (lambda: parse_tape("2|x"), "tape symbols must be 0, 1 or ':': '2'"),
+        (lambda: parse_tape("1|2|"), "tape symbols must be 0, 1 or ':': '2|'"),
+    ]
+
+    @pytest.mark.parametrize("build, message", REJECTED)
+    def test_rejected_inputs_and_their_messages(self, build, message):
+        with pytest.raises(InputError) as caught:
+            build()
+        assert str(caught.value) == message
+
+    def test_string_subclass_parts_accepted(self):
+        class Word(str):
+            pass
+
+        assert TapeState(Word("1"), Word(":0")) == TapeState("1", ":0")
+        assert at_left(Word("1:0")) == TapeState("", "1:0")
+
     @given(st_any_part, st_any_part)
     def test_accepts_exactly_the_alphabet(self, left, right):
         accepted = set(left) | set(right) <= TAPE_ALPHABET
