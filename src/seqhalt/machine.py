@@ -6,7 +6,8 @@ delivered boolean and the final family.  Divergence is reported only
 when proven: deadlock, a missing focus, a Divergent reply, or a repeated
 configuration.  One step loop serves both evaluators; they differ only
 in the configuration.  A run never changes which unit a focus holds (a
-Divergent reply ends it), so the loop keeps only each unit's state.
+Divergent reply ends it), so the loop keeps only each unit's state.  It
+reads each node on its first visit, a program's by ``threads._node``.
 
 ``run``'s configuration is the node plus those unit states, so loops
 that keep growing a state exhaust their fuel instead: the evaluator
@@ -30,6 +31,7 @@ unit: one ``run`` against the singleton family holding the unit.
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import Any, Callable, Mapping, NamedTuple, Sequence, Union
 
 from .program import FOCUS, BasicInstruction, InputError, Program, _Sentinel, foreign_action
@@ -43,7 +45,7 @@ from .services import (
     service_step,
     singleton_family,
 )
-from .threads import PostCond, RegularThread, StopFalse, StopTrue, Tau, ThreadNode, extract
+from .threads import NodeId, PostCond, RegularThread, StopFalse, StopTrue, Tau, ThreadNode, _node, _resolve, extract
 from .units import FunctionalUnit, interface
 
 DEFAULT_FUEL = 10**6
@@ -76,10 +78,6 @@ class FuelExhausted(NamedTuple):
 
 
 Outcome = Union[Converged, ProvenDivergent, FuelExhausted]
-
-
-def _as_thread(x: Program | RegularThread) -> RegularThread:
-    return x if type(x) is RegularThread else extract(x)
 
 
 # What the step loop does on reaching a node, resolved once per run: a
@@ -157,12 +155,19 @@ def _cycle(resolved: dict, start: int, node: Any, states: list[Any], period: int
     return FuelExhausted(fuel)
 
 
-def _step_loop(thread: RegularThread, family: ServiceFamily, fuel: float) -> Outcome:
-    """The step loop of both evaluators.
+def _start(x: Program | RegularThread) -> tuple[NodeId, Callable[[NodeId], ThreadNode]]:
+    """The root of ``x`` and its node lookup, by the thread's table or ``_node``."""
+    if type(x) is RegularThread:
+        return x.root, x.nodes.__getitem__
+    return _resolve(x, 1), partial(_node, x)
+
+
+def _step_loop(root: NodeId, node_of: Callable[[NodeId], ThreadNode], family: ServiceFamily, fuel: float) -> Outcome:
+    """The step loop of both evaluators, from node ``root``.
 
     Each focus holding a unit gets a slot with that unit's state; the
     units stay fixed for the run, since a Divergent reply ends it.  Each
-    visited node is resolved once, into the table ``resolved``.
+    visited node is read by ``node_of`` and resolved once, into ``resolved``.
 
     Under the fuel ``_UNBOUNDED``, which only ``run_total`` passes, after
     its constant-reply check, a configuration is the node alone: the
@@ -188,9 +193,8 @@ def _step_loop(thread: RegularThread, family: ServiceFamily, fuel: float) -> Out
         if isinstance(service, UnitService):
             slots[focus] = len(states)
             states.append(service.state)
-    nodes = thread.nodes
     resolved: dict = {}
-    current = thread.root
+    current = root
     steps = 0
     # The node and states saved at step ``mark_step``, and those saved at
     # the mark before it, at ``before_step``.
@@ -200,7 +204,7 @@ def _step_loop(thread: RegularThread, family: ServiceFamily, fuel: float) -> Out
     while True:
         entry = resolved.get(current)
         if entry is None:
-            entry = resolved[current] = _resolve_node(nodes[current], entries, slots)
+            entry = resolved[current] = _resolve_node(node_of(current), entries, slots)
         elif fuel is _UNBOUNDED:
             return ProvenDivergent(DivergenceCause.CYCLE, steps)
         kind, arg, step, then_ref, else_ref = entry
@@ -216,7 +220,7 @@ def _step_loop(thread: RegularThread, family: ServiceFamily, fuel: float) -> Out
             period = steps - mark_step
             # Before the first mark there is none: replay from the root.
             if before_states is None or mark_step - before_step < period:
-                before_step, before, before_states = 0, thread.root, [entries[f].state for f in slots]
+                before_step, before, before_states = 0, root, [entries[f].state for f in slots]
             return _cycle(resolved, before_step, before, before_states, period, fuel)
         if steps == next_mark:
             if steps > fuel:
@@ -282,23 +286,23 @@ def run(
     so the lines stop at the step of the outcome.
     """
     _check_fuel(fuel)
-    thread = _as_thread(x)
-    outcome = _step_loop(thread, family, fuel)
+    if trace is not None and type(x) is not RegularThread:
+        x = extract(x)  # ``_trace`` reads each step's node from the table
+    root, node_of = _start(x)
+    outcome = _step_loop(root, node_of, family, fuel)
     if trace is not None:
-        _trace(thread, family, outcome.steps, trace)
+        _trace(x, family, outcome.steps, trace)
     return outcome
 
 
 def _check_constant_replies(thread: RegularThread, entries: Mapping[str, Service]) -> None:
-    """Reject a thread with an action on a unit method that declares no
-    constant reply."""
+    """Reject a thread acting on a unit method with no declared constant reply."""
     for node in thread.nodes.values():
-        if type(node) is PostCond:
+        if type(node) is PostCond and type(node[0]) is BasicInstruction:
             action = node[0]
-            if type(action) is BasicInstruction:
-                service = entries.get(action.focus)
-                if isinstance(service, UnitService) and action.method in service.unit.varying:
-                    raise InputError(f"{action} has no declared constant reply; use run()")
+            service = entries.get(action.focus)
+            if isinstance(service, UnitService) and action.method in service.unit.varying:
+                raise InputError(f"{action} has no declared constant reply; use run()")
 
 
 def run_total(x: Program | RegularThread, family: ServiceFamily) -> Outcome:
@@ -307,18 +311,21 @@ def run_total(x: Program | RegularThread, family: ServiceFamily) -> Outcome:
 
     Then each node has a fixed successor, so revisiting a node closes an
     infinite loop: divergence is proven by pigeonhole instead of fuel.
+    It extracts a program, to check every node it can reach, only when a
+    unit of the family has a method with no declared constant reply.
     """
-    thread = _as_thread(x)
     entries = family.entries
     # Only a method that declares no constant reply fails the scan, so a
     # family whose units have none, such as the dup unit's, skips it.
     for service in entries.values():
         if isinstance(service, UnitService) and service.unit.varying:
-            _check_constant_replies(thread, entries)
+            x = x if type(x) is RegularThread else extract(x)
+            _check_constant_replies(x, entries)
             break
     # The configuration is the node only.  A run without repeated nodes
     # takes fewer steps than the thread has nodes, so it needs no fuel.
-    return _step_loop(thread, family, _UNBOUNDED)
+    root, node_of = _start(x)
+    return _step_loop(root, node_of, family, _UNBOUNDED)
 
 
 def reply(

@@ -16,10 +16,11 @@ admitting exact node and action types only.
 
 ``extract`` turns a program into its behaviour graph by resolving jumps
 transparently: a position outside the program, a 0-jump, or a cyclic jump
-chain all yield deadlock.  Its output is trusted: it builds its thread
-through a private constructor that skips ``RegularThread``'s check, since
-every node it writes is a ``PostCond`` of an instruction's action or a
-terminal, and every reference one it resolved itself.
+chain all yield deadlock.  ``_node``, the one successor rule, builds each
+node, for ``extract`` and for the machine on a node's first visit.  The
+thread ``extract`` returns skips ``RegularThread``'s check (``_thread``):
+every node ``_node`` makes is a ``PostCond`` of an instruction's action
+or a terminal, and every reference one it resolved itself.
 
 ``project`` cuts a thread off after a given number of actions; two
 regular threads are equal exactly when all finite projections agree.
@@ -148,13 +149,14 @@ def _resolve(x: Program, i: int) -> NodeId:
     """Chase jumps from position i to a basic instruction or terminal."""
     instructions = x.instructions
     k = len(instructions)
-    # Only a jump can repeat a position before the chase stops.
-    seen: set[int] = set()
+    seen = None  # the jumps chased (only they can repeat), a set from the first
     while 1 <= i <= k:
         u = instructions[i - 1]
         kind = type(u)
         if kind is FwdJump or kind is BwdJump:
-            if i in seen:
+            if seen is None:
+                seen = set()
+            elif i in seen:
                 break
             seen.add(i)
             i += u.offset if kind is FwdJump else -u.offset
@@ -179,8 +181,8 @@ def _halts(x: Program, first: bool, later: bool) -> bool:
     cycle of jumps repeats a state too, and it deadlocks, which is not
     convergence either, so one set of states serves both.  The walk
     converges exactly when it reaches !t or !f; leaving positions 1..k
-    deadlocks.  It fuses into one loop what ``extract`` does in two
-    steps, the jump chase (``_resolve``) and the successor rule.
+    deadlocks.  Its one loop does both the jump chase and the successor
+    rule, which ``extract`` and the machine share (``_node``).
     """
     instructions = x.instructions
     k = len(instructions)
@@ -213,31 +215,32 @@ def _halts(x: Program, first: bool, later: bool) -> bool:
     return False
 
 
-def extract(x: Program) -> RegularThread:
-    """Behaviour graph of a program: one node per reachable basic
-    instruction plus the terminals it reaches.  The successor rule: from
-    position i, +f.m goes near (i + 1, jumps chased) on True and far
+def _node(x: Program, ref: NodeId) -> ThreadNode:
+    """The node at ``ref``, a terminal id or a position ``_resolve`` gave:
+    from position i, +f.m goes near (i + 1, jumps chased) on True and far
     (i + 2) on False, -f.m the other way round, f.m near on either."""
-    instructions = x.instructions
+    if type(ref) is str:
+        return _TERMINAL_IDS[ref]
+    u = x.instructions[ref - 1]  # a basic instruction: _resolve stops only there
+    kind = type(u)
+    then_ref = else_ref = _resolve(x, ref + 1)
+    if kind is PosTest:
+        else_ref = _resolve(x, ref + 2)
+    elif kind is NegTest:
+        then_ref = _resolve(x, ref + 2)
+    return _postcond((u.action, then_ref, else_ref))
+
+
+def extract(x: Program) -> RegularThread:
+    """Behaviour graph of a program: the ``_node`` of each id it reaches."""
     root = _resolve(x, 1)
     nodes: dict[NodeId, ThreadNode] = {}
     todo = [root]
     while todo:
         ref = todo.pop()
-        if ref in nodes:
-            continue
-        if type(ref) is str:
-            nodes[ref] = _TERMINAL_IDS[ref]
-            continue
-        u = instructions[ref - 1]  # a basic instruction: _resolve stops only there
-        kind = type(u)
-        then_ref = else_ref = _resolve(x, ref + 1)
-        if kind is PosTest:
-            else_ref = _resolve(x, ref + 2)
-        elif kind is NegTest:
-            then_ref = _resolve(x, ref + 2)
-        nodes[ref] = _postcond((u.action, then_ref, else_ref))
-        todo += then_ref, else_ref
+        if ref not in nodes:
+            node = nodes[ref] = _node(x, ref)
+            todo += node[1:] if type(node) is PostCond else ()
     return _thread(nodes, root)
 
 

@@ -345,9 +345,10 @@ def test_criterion_07_reflexive_solution_empty_unit():
         assert decided == tables[y][False][0], render(y)
     for y in ys:
         converges_here = tables[y][False][0]
-        ybar = encode(y)
         for word in words:
-            # solver reply on |ybar:word must equal y's convergence on |word
+            # The solver's reply on each short word equals y's convergence
+            # under all-False halting replies, which these words give; the
+            # fidelity runs below are the ones that put encode(y) on a tape.
             lhs = decide_halting_empty_ext(y, at_left(word))
             assert lhs == converges_here
             pairs += 1

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import Fuel, random_family, random_program
+from seqhalt import machine
 from seqhalt.machine import (
     Applied,
     Converged,
@@ -24,7 +25,7 @@ from seqhalt.machine import (
 )
 from seqhalt.program import InputError, parse
 from seqhalt.services import EMPTY_SERVICE, Reply, UnitService, empty_family, parse_family, singleton_family
-from seqhalt.threads import PostCond, RegularThread, STOP_TRUE, TAU
+from seqhalt.threads import PostCond, RegularThread, STOP_TRUE, TAU, extract
 from seqhalt.units import FunctionalUnit, MethodOperation, at_left, counter_unit, dup_unit
 
 
@@ -231,6 +232,33 @@ class TestRun:
         for evaluate in (run, run_total):
             with pytest.raises(AssertionError, match="declared constant reply"):
                 evaluate(parse("f.m;!t"), fam)
+
+    def test_run_total_rejects_a_varying_action_it_never_visits(self):
+        # f.succ replies True, so the run ends at !t; f.iszero, reachable
+        # on the False branch, is never visited.
+        x = parse("+f.succ;!t;f.iszero;!t")
+        for program_or_thread in (x, extract(x)):
+            with pytest.raises(InputError, match="f.iszero has no declared constant reply"):
+                run_total(program_or_thread, parse_family("f=counter:0"))
+
+    def test_untraced_runs_on_the_dup_unit_extract_nothing(self, monkeypatch):
+        extracted = []
+
+        def counting_extract(x):
+            extracted.append(x)
+            return extract(x)
+
+        # Two steps: f.dup replies True, so -f.dup skips the !f.
+        x = parse("f.dup;-f.dup;!f;!t")
+        expected = run(extract(x), dup_family("1"))
+        assert (expected.reply, expected.steps) == (True, 2)
+        monkeypatch.setattr(machine, "extract", counting_extract)
+        assert run(x, dup_family("1")) == expected
+        assert run_total(x, dup_family("1")) == expected
+        assert extracted == []
+        # A traced run reads its steps' nodes from the extracted thread.
+        assert run(x, dup_family("1"), trace=lambda line: None) == expected
+        assert extracted == [x]
 
 
 class TestProjectionsOfRun:

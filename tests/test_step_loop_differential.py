@@ -1,6 +1,8 @@
 """``run`` and ``run_total`` agree with the frozen original step loop on
 random programs, threads, families and fuels: outcome, steps, cause,
-final family and trace lines."""
+final family and trace lines.  A program is passed both extracted and
+as it is, where the run resolves each node on its first visit; the
+reference then runs the frozen original ``extract``'s thread."""
 
 import random
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frozen_machine
+import frozen_walk
 from conftest import random_thread
 from seqhalt.machine import DivergenceCause, ProvenDivergent, run, run_total
 from seqhalt.program import (
@@ -99,12 +102,15 @@ st_thread = st.builds(
 )
 
 
-def assert_run_matches(thread, family, fuel):
+def assert_run_matches(x, family, fuel, reference=None):
+    """``run`` on ``x``, a thread or a program, matches the frozen loop on
+    the thread ``reference``, by default ``x`` itself."""
+    reference = x if reference is None else reference
     lines, reference_lines = [], []
-    outcome = run(thread, family, fuel, trace=lines.append)
-    assert outcome == frozen_machine.run(thread, family, fuel, trace=reference_lines.append)
+    outcome = run(x, family, fuel, trace=lines.append)
+    assert outcome == frozen_machine.run(reference, family, fuel, trace=reference_lines.append)
     assert lines == reference_lines
-    assert run(thread, family, fuel) == outcome
+    assert run(x, family, fuel) == outcome
 
 
 def run_total_or_error(evaluate, thread, family):
@@ -119,6 +125,14 @@ def run_total_or_error(evaluate, thread, family):
 def test_run_matches_reference(data, fuel):
     family = data.draw(st_family)
     assert_run_matches(extract(data.draw(st_program(family))), family, fuel)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data(), st_fuel)
+def test_run_on_programs_matches_reference(data, fuel):
+    family = data.draw(st_family)
+    x = data.draw(st_program(family))
+    assert_run_matches(x, family, fuel, reference=frozen_walk.extract(x))
 
 
 @settings(deadline=None, max_examples=200)
@@ -179,6 +193,14 @@ def test_run_matches_reference_at_checkpoint_fuels(data, fuel):
     assert_run_matches(thread, family, fuel)
 
 
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), fuel=st_checkpoint_fuel)
+def test_run_on_programs_matches_reference_at_checkpoint_fuels(data, fuel):
+    family = data.draw(st.one_of(st_family, st_counter_family))
+    x = data.draw(st_program(family))
+    assert_run_matches(x, family, fuel, reference=frozen_walk.extract(x))
+
+
 @pytest.mark.parametrize("methods", [METHODS, CONSTANT_METHODS], ids=["all", "constant"])
 @settings(deadline=None, max_examples=150)
 @given(data=st.data())
@@ -187,6 +209,17 @@ def test_run_total_matches_reference(methods, data):
     thread = extract(data.draw(st_program(family, methods)))
     assert run_total_or_error(run_total, thread, family) == run_total_or_error(
         frozen_machine.run_total, thread, family
+    )
+
+
+@pytest.mark.parametrize("methods", [METHODS, CONSTANT_METHODS], ids=["all", "constant"])
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_run_total_on_programs_matches_reference(methods, data):
+    family = data.draw(st_family)
+    x = data.draw(st_program(family, methods))
+    assert run_total_or_error(run_total, x, family) == run_total_or_error(
+        frozen_machine.run_total, frozen_walk.extract(x), family
     )
 
 
@@ -208,8 +241,10 @@ def test_run_total_matches_reference_on_lassos(data, family):
 
 @pytest.mark.parametrize("n", [1000, 1024])
 def test_run_total_proves_a_long_cycle(n):
-    thread = extract(parse("f.dup;" * n + "\\#%d" % n))
+    x = parse("f.dup;" * n + "\\#%d" % n)
+    thread = extract(x)
     family = parse_family("f=dup:|1")
     outcome = run_total(thread, family)
     assert outcome == ProvenDivergent(DivergenceCause.CYCLE, n)
     assert outcome == frozen_machine.run_total(thread, family)
+    assert run_total(x, family) == outcome
