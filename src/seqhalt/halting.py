@@ -49,7 +49,7 @@ from .program import (
     foreign_action,
     render,
 )
-from .services import Reply, ServiceFamily, UnitService, singleton_family
+from .services import Reply, UnitService, _service_family, singleton_family
 from .threads import RegularThread, _halts, _resolve, extract
 from .units import (
     TapeState,
@@ -169,7 +169,7 @@ FORMS = {"first": diag_solver, "second": diag_solver_alt}
 def _dup_run(x: Program | RegularThread, state: TapeState) -> Outcome:
     """Run x on the dup unit at this state.  The dup reply is constant, so
     run_total ends in a reply or a proven divergence, never out of fuel."""
-    return run_total(x, ServiceFamily({FOCUS: UnitService(dup_unit(), state)}))
+    return run_total(x, _service_family({FOCUS: UnitService(dup_unit(), state)}))
 
 
 def _encoded_tape(*words: str) -> TapeState:

@@ -6,8 +6,12 @@ delivered boolean and the final family.  Divergence is reported only
 when proven: deadlock, a missing focus, a Divergent reply, or a repeated
 configuration.  One step loop serves both evaluators; they differ only
 in the configuration.  A run never changes which unit a focus holds (a
-Divergent reply ends it), so the loop keeps only each unit's state.  It
-reads each node on its first visit, a program's by ``threads._node``.
+Divergent reply ends it), so the loop keeps only each unit's state, in
+the unit's internal form.  Those states leave a run only through
+``_family`` (a converged run's family) and ``services.service_step``
+(the trace), each turning them public by the unit's ``export_state``.
+The loop reads each node on its first visit, a program's by
+``threads._node``.
 
 ``run``'s configuration is the node plus those unit states, so loops
 that keep growing a state exhaust their fuel instead: the evaluator
@@ -40,6 +44,7 @@ from .services import (
     Service,
     ServiceFamily,
     UnitService,
+    _service_family,
     empty_family,
     format_family,
     service_step,
@@ -109,8 +114,9 @@ def _resolve_node(
 
 
 def _family(family: ServiceFamily, slots: Mapping[str, int], states: Sequence[Any]) -> ServiceFamily:
-    """``family`` with each unit's state taken from its slot: ``family``
-    itself when every slot still holds the state it started with."""
+    """``family`` with each unit's state taken from its slot, in public
+    form: ``family`` itself when every slot still holds the state it
+    started with."""
     entries = family.entries
     changed = None
     for focus, slot in slots.items():
@@ -118,8 +124,9 @@ def _family(family: ServiceFamily, slots: Mapping[str, int], states: Sequence[An
         if states[slot] is not service.state:
             if changed is None:
                 changed = dict(entries)
-            changed[focus] = UnitService(service.unit, states[slot])
-    return family if changed is None else ServiceFamily(changed)
+            unit = service.unit
+            changed[focus] = UnitService(unit, unit.export_state(states[slot]))
+    return family if changed is None else _service_family(changed)
 
 
 def _advance(resolved: dict, node: Any, states: list[Any]) -> Any:
@@ -166,8 +173,15 @@ def _step_loop(root: NodeId, node_of: Callable[[NodeId], ThreadNode], family: Se
     """The step loop of both evaluators, from node ``root``.
 
     Each focus holding a unit gets a slot with that unit's state; the
-    units stay fixed for the run, since a Divergent reply ends it.  Each
-    visited node is read by ``node_of`` and resolved once, into ``resolved``.
+    units stay fixed for the run, since a Divergent reply ends it.  The
+    slots, the marks below and ``_cycle`` hold internal states, which
+    leave the loop only through ``_family``.  A public state is taken in
+    as it is, being an internal state too (a ``TapeState`` is its
+    ``(left, right)`` pair), and two states are equal, and hash alike,
+    exactly when their internal forms are.  So a configuration repeats
+    internally exactly when it repeats publicly.
+    Each visited node is read by ``node_of`` and resolved once, into
+    ``resolved``.
 
     Under the fuel ``_UNBOUNDED``, which only ``run_total`` passes, after
     its constant-reply check, a configuration is the node alone: the

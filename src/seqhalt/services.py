@@ -6,10 +6,11 @@ to services, each name occurring once; composing two families that share
 a name collapses that name to the empty service.  ``service_step`` is
 the one-step protocol: a known method replies True/False and steps the
 state, an unknown method replies Divergent and the service collapses.
-``machine`` replays a traced run's steps through it; its step loop
-calls each unit's step function directly.  A reply that contradicts
-the operation's declared constant reply is a bug in the unit and raises
-AssertionError.
+It runs the unit's internal step and returns the successor in public
+form, through the unit's ``export_state``.  ``machine`` replays a traced
+run's steps through it; its step loop calls each unit's internal step
+directly.  A reply that contradicts the operation's declared constant
+reply is a bug in the unit and raises AssertionError.
 """
 
 from __future__ import annotations
@@ -55,7 +56,31 @@ Service = Union[EmptyService, UnitService]
 
 @dataclass(frozen=True)
 class ServiceFamily:
+    """Services by focus: each focus a ``str`` that ``_FOCUS_RE`` matches,
+    each service of the exact type ``EmptyService`` or ``UnitService``."""
+
     entries: Mapping[str, Service]
+
+    def __post_init__(self):
+        for focus, service in self.entries.items():
+            _check_entry(focus, service)
+
+
+def _check_entry(focus: str, service: Service) -> None:
+    if type(focus) is not str or not _FOCUS_RE.match(focus):
+        raise InputError(f"bad focus {focus!r}")
+    if type(service) is not UnitService and type(service) is not EmptyService:
+        raise InputError(f"not a service at {focus!r}: {service!r}")
+
+
+def _service_family(entries: Mapping[str, Service]) -> ServiceFamily:
+    """A ``ServiceFamily`` without the check, for entries known to pass
+    it: those this module has checked or taken from checked families,
+    those ``machine._family`` gives new states and ``halting._dup_run``'s
+    one dup service."""
+    family = object.__new__(ServiceFamily)
+    object.__setattr__(family, "entries", entries)
+    return family
 
 
 def empty_family() -> ServiceFamily:
@@ -63,9 +88,8 @@ def empty_family() -> ServiceFamily:
 
 
 def singleton_family(focus: str, service: Service) -> ServiceFamily:
-    if type(focus) is not str or not _FOCUS_RE.match(focus):
-        raise InputError(f"bad focus {focus!r}")
-    return ServiceFamily({focus: service})
+    _check_entry(focus, service)
+    return _service_family({focus: service})
 
 
 def compose(c: ServiceFamily, d: ServiceFamily) -> ServiceFamily:
@@ -74,20 +98,21 @@ def compose(c: ServiceFamily, d: ServiceFamily) -> ServiceFamily:
     entries = dict(c.entries)
     for focus, service in d.entries.items():
         entries[focus] = EMPTY_SERVICE if focus in entries else service
-    return ServiceFamily(entries)
+    return _service_family(entries)
 
 
 def encapsulate(foci: Iterable[str], c: ServiceFamily) -> ServiceFamily:
     hidden = frozenset(foci)
-    return ServiceFamily({f: s for f, s in c.entries.items() if f not in hidden})
+    return _service_family({f: s for f, s in c.entries.items() if f not in hidden})
 
 
 def service_step(service: Service, method: str) -> tuple[Reply, Service]:
     step = None if isinstance(service, EmptyService) else service.unit.steps.get(method)
     if step is None:
         return Reply.DIVERGENT, EMPTY_SERVICE
+    unit = service.unit
     reply, state = step(service.state)
-    return Reply.from_bool(reply), UnitService(service.unit, state)
+    return Reply.from_bool(reply), UnitService(unit, unit.export_state(state))
 
 
 def format_family(family: ServiceFamily | Mapping[str, Service]) -> str:
@@ -121,5 +146,5 @@ def parse_family(text: str) -> ServiceFamily:
             raise InputError(f"bad family entry {part!r} (want focus=unit:state)")
         unit = unit_by_name(unit_name)
         entries[focus] = UnitService(unit, unit.parse_state(state_literal))
-    return ServiceFamily(entries)
+    return _service_family(entries)
 

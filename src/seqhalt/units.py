@@ -9,9 +9,17 @@ space of strings over {0,1,:} split around a head position, written
 ``(left, right)``, so it equals and hashes like that bare tuple and
 orders lexicographically.  ``TapeState(...)``, ``at_left`` and
 ``parse_tape`` reject non-strings and other symbols.  ``_tape`` skips
-the check, for the tape operations (they only move, copy or write
-alphabet symbols), for ``at_left`` once it has checked its one word and
-for ``halting._encoded_tape`` (0s and 1s) only.
+the check, for the tape operations' public steps and the tape-basic
+unit's ``export_state`` (they only move, copy or write alphabet
+symbols), for ``at_left`` once it has checked its one word and for
+``halting._encoded_tape`` (0s and 1s) only.
+
+A unit's steps in a run act on its internal states, and
+``export_state`` turns one into the public state its operations
+return.  The tape-basic unit's internal states are bare ``(left,
+right)`` pairs: its internal steps build no ``TapeState``, and a
+``TapeState``, being such a pair, is one too.  Every other stock unit's
+internal states are its public ones.
 
 The stock units are the four-operation counter, the single-operation
 duplication unit, the tape-basic unit whose operations are the
@@ -71,7 +79,8 @@ class TapeState(namedtuple("TapeState", "left right")):
 
 
 # A ``TapeState`` from its ``(left, right)`` pair without the symbol
-# check, for the tape operations, ``at_left`` after its own check and
+# check, for the tape operations' public steps, the tape-basic unit's
+# ``export_state``, ``at_left`` after its own check and
 # ``halting._encoded_tape`` only; see the module docstring.
 _tape = partial(tuple.__new__, TapeState)
 
@@ -110,15 +119,19 @@ class MethodOperation:
     name: str
     step: Callable[[Any], tuple[bool, Any]]
     constant_reply: bool | None = None
+    # The step on the unit's internal states, when they are not its
+    # public ones: ``step`` is it followed by the unit's ``export_state``.
+    internal_step: Callable[[Any], tuple[bool, Any]] | None = None
 
 
 def _checked_step(unit_name: str, op: MethodOperation) -> Callable[[Any], tuple[bool, Any]]:
-    """``op``'s step function, checking every reply against the declared
-    constant reply when ``op`` declares one: a contradicting reply is a
-    bug in the unit and raises AssertionError."""
+    """``op``'s step function on internal states, checking every reply
+    against the declared constant reply when ``op`` declares one: a
+    contradicting reply is a bug in the unit and raises AssertionError."""
+    step = op.step if op.internal_step is None else op.internal_step
     if op.constant_reply is None:
-        return op.step
-    step, constant = op.step, op.constant_reply
+        return step
+    constant = op.constant_reply
 
     def checked(state: Any) -> tuple[bool, Any]:
         reply, successor = step(state)
@@ -129,16 +142,25 @@ def _checked_step(unit_name: str, op: MethodOperation) -> Callable[[Any], tuple[
     return checked
 
 
+def _identity(state: Any) -> Any:
+    return state
+
+
 @dataclass(frozen=True)
 class FunctionalUnit:
     """A named set of operations.  ``steps`` maps each method to its
-    step function, built once with the unit by ``_checked_step``;
-    ``varying`` holds the methods that declare no constant reply."""
+    step function on internal states, built once with the unit by
+    ``_checked_step``; ``export_state`` turns an internal state into the
+    public state that ``operations`` return, and is the identity unless
+    given.  A public state is an internal one too, so none is converted
+    on the way in.  ``varying`` holds the methods that declare no
+    constant reply."""
 
     name: str
     operations: Mapping[str, MethodOperation]
     format_state: Callable[[Any], str]
     parse_state: Callable[[str], Any]
+    export_state: Callable[[Any], Any] = _identity
     steps: Mapping[str, Callable[[Any], tuple[bool, Any]]] = field(
         init=False, repr=False, compare=False
     )
@@ -197,63 +219,82 @@ def dup_unit() -> FunctionalUnit:
     return _DUP
 
 
-def _move_left(s: TapeState) -> tuple[bool, TapeState]:
+# The tape-basic unit's internal states: bare ``(left, right)`` pairs,
+# which its steps take and return.  A ``TapeState`` is such a pair.
+_Pair = tuple[str, str]
+
+
+def _move_left(s: _Pair) -> tuple[bool, _Pair]:
     left, right = s
     if not left:
         return False, s
-    return True, _tape((left[:-1], left[-1] + right))
+    return True, (left[:-1], left[-1] + right)
 
 
-def _move_right(s: TapeState) -> tuple[bool, TapeState]:
+def _move_right(s: _Pair) -> tuple[bool, _Pair]:
     left, right = s
     if not right:
         return False, s
-    return True, _tape((left + right[0], right[1:]))
+    return True, (left + right[0], right[1:])
 
 
-def _test(symbol: str) -> Callable[[TapeState], tuple[bool, TapeState]]:
-    def step(s: TapeState) -> tuple[bool, TapeState]:
-        return s.right[:1] == symbol, s
+def _test(symbol: str) -> Callable[[_Pair], tuple[bool, _Pair]]:
+    def step(s: _Pair) -> tuple[bool, _Pair]:
+        return s[1][:1] == symbol, s
 
     return step
 
 
-def _test_end(s: TapeState) -> tuple[bool, TapeState]:
-    return not s.right, s
+def _test_end(s: _Pair) -> tuple[bool, _Pair]:
+    return not s[1], s
 
 
-def _write(symbol: str) -> Callable[[TapeState], tuple[bool, TapeState]]:
-    def step(s: TapeState) -> tuple[bool, TapeState]:
+def _write(symbol: str) -> Callable[[_Pair], tuple[bool, _Pair]]:
+    def step(s: _Pair) -> tuple[bool, _Pair]:
         # Overwrites the symbol under the head, appends at the right end.
         left, right = s
-        return True, _tape((left, symbol + right[1:]))
+        return True, (left, symbol + right[1:])
 
     return step
 
 
-def _delete(s: TapeState) -> tuple[bool, TapeState]:
+def _delete(s: _Pair) -> tuple[bool, _Pair]:
     left, right = s
     if not right:
         return False, s
-    return True, _tape((left, right[1:]))
+    return True, (left, right[1:])
+
+
+def _tape_operation(
+    name: str, step: Callable[[_Pair], tuple[bool, _Pair]], constant_reply: bool | None = None
+) -> MethodOperation:
+    """The tape-basic operation whose internal step is ``step``; its
+    public step returns the successor as a ``TapeState``."""
+
+    def public(s: TapeState) -> tuple[bool, TapeState]:
+        reply, successor = step(s)
+        return reply, _tape(successor)
+
+    return MethodOperation(name, public, constant_reply, step)
 
 
 def _tape_basic_ops() -> dict[str, MethodOperation]:
-    return {
-        "mvl": MethodOperation("mvl", _move_left),
-        "mvr": MethodOperation("mvr", _move_right),
-        "test:0": MethodOperation("test:0", _test("0")),
-        "test:1": MethodOperation("test:1", _test("1")),
-        "test:colon": MethodOperation("test:colon", _test(":")),
-        "test:end": MethodOperation("test:end", _test_end),
-        "write:0": MethodOperation("write:0", _write("0"), constant_reply=True),
-        "write:1": MethodOperation("write:1", _write("1"), constant_reply=True),
-        "write:colon": MethodOperation("write:colon", _write(":"), constant_reply=True),
-        "delete": MethodOperation("delete", _delete),
-    }
+    ops = [
+        _tape_operation("mvl", _move_left),
+        _tape_operation("mvr", _move_right),
+        _tape_operation("test:0", _test("0")),
+        _tape_operation("test:1", _test("1")),
+        _tape_operation("test:colon", _test(":")),
+        _tape_operation("test:end", _test_end),
+        _tape_operation("write:0", _write("0"), constant_reply=True),
+        _tape_operation("write:1", _write("1"), constant_reply=True),
+        _tape_operation("write:colon", _write(":"), constant_reply=True),
+        _tape_operation("delete", _delete),
+    ]
+    return {op.name: op for op in ops}
 
 
-_TAPE_BASIC = FunctionalUnit("tapebasic", _tape_basic_ops(), format_tape, parse_tape)
+_TAPE_BASIC = FunctionalUnit("tapebasic", _tape_basic_ops(), format_tape, parse_tape, _tape)
 
 
 def tape_basic_unit() -> FunctionalUnit:

@@ -389,6 +389,27 @@ def test_unchecked_thread_use_is_found():
     assert uses_outside(tree, "_thread", None) == [3, 4, 5, 6, 8]
 
 
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "services.py"], ids=lambda p: p.name)
+def test_unchecked_families_only_from_the_step_loop(path):
+    # services._service_family skips ServiceFamily's check.  Outside
+    # services.py only machine._family, on the entries of a checked family
+    # with new states, and halting._dup_run, on its one dup service, may
+    # call it.
+    helper = {"machine.py": "_family", "halting.py": "_dup_run"}.get(path.name)
+    assert uses_outside(ast.parse(path.read_text()), "_service_family", helper) == []
+
+
+def test_unchecked_family_use_is_found():
+    tree = ast.parse(
+        "from seqhalt import services\nfrom seqhalt.services import _service_family\n"
+        "def _family(e): return _service_family(e)\n"
+        "a = _service_family({})\nb = services._service_family({})\nc = map(_service_family, [])\n"
+        "def _dup_run(x):\n    return _service_family({})\ne = service_family({})\n"
+    )
+    assert uses_outside(tree, "_service_family", "_family") == [4, 5, 6, 8]
+    assert uses_outside(tree, "_service_family", "_dup_run") == [3, 4, 5, 6]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_unchecked_basic_instructions_only_from_parse(path):
     # program._basic skips BasicInstruction's check.  Only parse's helper

@@ -8,7 +8,9 @@ from conftest import FOCI, random_family, random_service
 from seqhalt.program import InputError
 from seqhalt.services import (
     EMPTY_SERVICE,
+    EmptyService,
     Reply,
+    ServiceFamily,
     UnitService,
     compose,
     empty_family,
@@ -81,6 +83,31 @@ def test_singleton_rejects_a_bad_focus():
     for focus, shown in (("F", "'F'"), (["f"], r"\['f'\]")):
         with pytest.raises(InputError, match=f"^bad focus {shown}$"):
             singleton_family(focus, EMPTY_SERVICE)
+
+
+def test_family_rejects_a_malformed_entry():
+    # A junk entry used to run to a claimed REPLY_D divergence, and a
+    # non-string focus to a missing focus.
+    class Service(UnitService):
+        pass
+
+    rejected = [
+        ({"f": 5}, "^not a service at 'f': 5$"),
+        ({"f": None}, "^not a service at 'f': None$"),
+        ({"f": Service(dup_unit(), at_left("1"))}, "^not a service at 'f': "),
+        ({1: EMPTY_SERVICE}, "^bad focus 1$"),
+        ({b"f": EMPTY_SERVICE}, "^bad focus b'f'$"),
+        ({"F": EMPTY_SERVICE}, "^bad focus 'F'$"),
+        ({"f.g": EMPTY_SERVICE}, "^bad focus 'f.g'$"),
+    ]
+    for entries, message in rejected:
+        with pytest.raises(InputError, match=message):
+            ServiceFamily(entries)
+        [(focus, service)] = entries.items()
+        with pytest.raises(InputError, match=message):
+            singleton_family(focus, service)
+    fam = ServiceFamily({"f": EmptyService(), "g0": UnitService(dup_unit(), at_left("1"))})
+    assert format_family(fam) == "f=empty,g0=dup:|1"
 
 
 def test_empty_service_is_absorbing():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import frozen_machine
 import frozen_walk
 from conftest import random_thread
-from seqhalt.machine import DivergenceCause, ProvenDivergent, run, run_total
+from seqhalt.machine import DivergenceCause, FuelExhausted, ProvenDivergent, run, run_total
 from seqhalt.program import (
     TERM_FALSE,
     TERM_TRUE,
@@ -199,6 +199,29 @@ def test_run_on_programs_matches_reference_at_checkpoint_fuels(data, fuel):
     family = data.draw(st.one_of(st_family, st_counter_family))
     x = data.draw(st_program(family))
     assert_run_matches(x, family, fuel, reference=frozen_walk.extract(x))
+
+
+# Tape-basic loops whose tape returns to its start, and the step at which
+# each closes its cycle.  The loop holds bare (left, right) pairs, and a
+# cycle's replay from the root starts from the family's TapeStates.
+TAPE_LOOPS = [
+    ("f.mvr;f.mvl;\\#2", "f=tapebasic:|01", 2),
+    ("+f.mvl;#2;\\#2;f.mvr;f.mvr;f.mvl;f.mvl;\\#4", "f=tapebasic:0|1", 5),
+    ("f.write:1;f.mvr;f.mvl;\\#2", "f=tapebasic:|0", 3),
+    # Walks right to the end of 20 symbols and back, again and again.
+    ("+f.mvr;\\#1;+f.mvl;\\#1;\\#4", "f=tapebasic:|" + "0" * 20, 42),
+]
+CHECKPOINT_FUELS = sorted({max(1, 2**k + d) for k in range(10) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("text, literal, cycle_step", TAPE_LOOPS)
+@pytest.mark.parametrize("fuel", CHECKPOINT_FUELS)
+def test_tape_loops_match_reference_at_checkpoint_fuels(text, literal, cycle_step, fuel):
+    x, family = parse(text), parse_family(literal)
+    assert_run_matches(x, family, fuel, reference=frozen_walk.extract(x))
+    assert_run_matches(extract(x), family, fuel)
+    cycle = ProvenDivergent(DivergenceCause.CYCLE, cycle_step)
+    assert run(x, family, fuel) == (cycle if cycle_step <= fuel else FuelExhausted(fuel))
 
 
 @pytest.mark.parametrize("methods", [METHODS, CONSTANT_METHODS], ids=["all", "constant"])

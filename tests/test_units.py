@@ -13,8 +13,11 @@ from seqhalt.machine import (
     UNKNOWN,
     Applied,
     derived_operation,
+    run,
 )
-from seqhalt.program import InputError, parse
+from seqhalt.program import FOCUS, InputError, parse
+from seqhalt.services import UnitService, service_step, singleton_family
+from seqhalt.threads import extract
 from seqhalt.units import (
     TAPE_ALPHABET,
     FunctionalUnit,
@@ -239,6 +242,55 @@ def test_tape_successors_equal_checked_states(name, step):
         checked = TapeState(successor.left, successor.right)
         assert type(successor) is TapeState
         assert successor == checked and hash(successor) == hash(checked)
+
+
+# The step loop runs each unit's internal steps, and a tape-basic one
+# returns a bare (left, right) pair, which equals and hashes like a
+# TapeState: the tests below check the type of every state that leaves
+# a run, which equality alone would not catch.
+TAPE_BASIC_NAMES = sorted(tape_basic_unit().operations)
+
+
+def assert_internal_step_exports_to_public(name, state):
+    unit = tape_basic_unit()
+    reply, internal = unit.steps[name](state)
+    exported = unit.export_state(internal)
+    assert (reply, exported) == unit.operations[name].step(state)
+    assert type(exported) is TapeState
+
+
+@pytest.mark.parametrize("name", TAPE_BASIC_NAMES)
+def test_internal_tape_steps_export_to_the_public_steps(name):
+    for state in SMALL_TAPES:
+        assert_internal_step_exports_to_public(name, state)
+
+
+@given(st_tape)
+def test_internal_tape_steps_export_to_the_public_steps_on_random_tapes(state):
+    for name in TAPE_BASIC_NAMES:
+        assert_internal_step_exports_to_public(name, state)
+
+
+# Runs that move, write and delete, each from |01 and from 0|1.
+MOVING_PROGRAMS = ["f.mvr;f.write:colon;f.mvl;!t", "+f.delete;f.mvr;f.write:colon;!f", "f.mvr;f.mvl;f.delete;!t"]
+
+
+@pytest.mark.parametrize("text", MOVING_PROGRAMS)
+def test_states_leave_a_tape_basic_run_as_tape_states(text):
+    x = parse(text)
+    evaluate = derived_operation(x, tape_basic_unit())
+    for start in (at_left("01"), TapeState("0", "1")):
+        family = singleton_family(FOCUS, UnitService(tape_basic_unit(), start))
+        for program_or_thread in (x, extract(x)):
+            state = run(program_or_thread, family).family.entries[FOCUS].state
+            assert state != start and type(state) is TapeState
+        applied = evaluate(start)
+        assert applied.state == state and type(applied.state) is TapeState
+        service = family.entries[FOCUS]
+        for item in text.split(";")[:-1]:
+            _, service = service_step(service, item.lstrip("+-").partition(".")[2])
+            assert type(service.state) is TapeState
+        assert service.state == state
 
 
 class TestTapeBasic:
