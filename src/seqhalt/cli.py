@@ -59,12 +59,12 @@ def _cmd_run(args) -> int:
     x = parse(args.program)
     family = parse_family(args.family)
     outcome = run(x, family, args.fuel, print if args.trace else None)
-    if isinstance(outcome, Converged):
+    if type(outcome) is Converged:
         literal = format_family(outcome.family)
         letter = str(Reply.from_bool(outcome.reply))
         text = letter + (f" {literal}" if literal else "")
         payload = {"outcome": letter, "family": literal, "steps": outcome.steps}
-    elif isinstance(outcome, ProvenDivergent):
+    elif type(outcome) is ProvenDivergent:
         text = f"D({outcome.cause})"
         payload = {"outcome": "D", "cause": str(outcome.cause), "steps": outcome.steps}
     else:
@@ -110,7 +110,7 @@ def _cmd_validate_solver(args) -> int:
     record = verdict_record(x, verdict)
     text = " ".join(f"{key}={record[key]}" for key in sorted(record) if record[key] is not None)
     _emit(args, record, text)
-    return 0 if isinstance(verdict, NotRefuted) else 1
+    return 0 if type(verdict) is NotRefuted else 1
 
 
 def _cmd_check_interpreter(args) -> int:

@@ -219,10 +219,10 @@ def validate_solver(x: Program, form: str = "first") -> SolverVerdict:
     diagonal_state = _encoded_tape(ybar, ybar)
     y_state = _encoded_tape(ybar)
     out_x = _dup_run(x, diagonal_state)
-    if isinstance(out_x, ProvenDivergent):
+    if type(out_x) is ProvenDivergent:
         return RefutedByDivergence(diagonal_state, out_x.steps)
     out_y = _dup_run(y, y_state)
-    actual = isinstance(out_y, Converged)
+    actual = type(out_y) is Converged
     if out_x.reply == actual:
         return NotRefuted(out_x.steps + out_y.steps)
     return RefutedByWrongReply(y, y_state, out_x.reply, actual, out_x.steps + out_y.steps)
@@ -232,17 +232,17 @@ def replay_verdict(x: Program, verdict: SolverVerdict) -> bool:
     """Re-run the evaluator on a verdict's witness and confirm the
     recorded discrepancy reappears."""
     _check_single_method(x, _DUP_ONLY)
-    if isinstance(verdict, NotRefuted):
+    if type(verdict) is NotRefuted:
         return True
-    if isinstance(verdict, RefutedByDivergence):
-        return isinstance(_dup_run(x, verdict.witness_state), ProvenDivergent)
+    if type(verdict) is RefutedByDivergence:
+        return type(_dup_run(x, verdict.witness_state)) is ProvenDivergent
     y = verdict.witness_program
     ybar = encode(y)
     out_x = _dup_run(x, _encoded_tape(ybar, ybar))
-    if isinstance(out_x, ProvenDivergent):
+    if type(out_x) is ProvenDivergent:
         return False
     out_y = _dup_run(y, verdict.witness_state)
-    return out_x.reply == verdict.claimed and isinstance(out_y, Converged) == verdict.actual
+    return out_x.reply == verdict.claimed and (type(out_y) is Converged) == verdict.actual
 
 
 _VERDICT_NAMES = {
@@ -256,9 +256,9 @@ def verdict_record(candidate: Program, verdict: SolverVerdict) -> dict:
     """Stable, serialisable record of a solver verdict; None in each field it lacks."""
     record = dict.fromkeys(("witnessProgram", "witnessState", "claimed", "actual"))
     record.update(candidate=render(candidate), verdict=_VERDICT_NAMES[type(verdict)], steps=verdict.steps)
-    if not isinstance(verdict, NotRefuted):
+    if type(verdict) is not NotRefuted:
         record["witnessState"] = format_tape(verdict.witness_state)
-    if isinstance(verdict, RefutedByWrongReply):
+    if type(verdict) is RefutedByWrongReply:
         record.update(
             witnessProgram=render(verdict.witness_program),
             claimed=str(Reply.from_bool(verdict.claimed)),
@@ -287,11 +287,11 @@ class InterpreterReport(NamedTuple):
 def _check_sample(x: Program, y: Program, ybar: str, word: str) -> SampleCheck:
     y_state = _encoded_tape(word)
     out_y = _dup_run(y, y_state)
-    if isinstance(out_y, ProvenDivergent):
+    if type(out_y) is ProvenDivergent:
         return SampleCheck(y, y_state, "skipped-divergent", "sample program diverges")
     x_state = _encoded_tape(ybar, word)
     out_x = _dup_run(x, x_state)
-    if isinstance(out_x, ProvenDivergent):
+    if type(out_x) is ProvenDivergent:
         return SampleCheck(y, y_state, "fail-convergence", "candidate diverges on encoded input")
     if out_x.reply != out_y.reply:
         return SampleCheck(
@@ -360,7 +360,7 @@ def sweep_dup_decider(max_len: int) -> dict:
     for x in enumerate_programs({"dup"}, max_len):
         decided = decide_halting_dup(x)
         thread = extract(x)
-        oracle_answers = [isinstance(_dup_run(thread, state), Converged) for state in states]
+        oracle_answers = [type(_dup_run(thread, state)) is Converged for state in states]
         if all(answer == decided for answer in oracle_answers):
             agree += 1
             continue
@@ -416,7 +416,7 @@ def sweep_diagonal(max_len: int) -> dict:
         # build the same diagonal, one verdict counts for both.
         forms = ("first",) if diag_solver(x) == diag_solver_alt(x) else FORMS
         verdicts = [validate_solver(x, form=form) for form in forms]
-        if not any(isinstance(v, NotRefuted) for v in verdicts):
+        if not any(type(v) is NotRefuted for v in verdicts):
             refuted += 1
             continue
         not_refuted += 1

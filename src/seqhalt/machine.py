@@ -11,7 +11,9 @@ the unit's internal form.  Those states leave a run only through
 ``_family`` (a converged run's family) and ``services.service_step``
 (the trace), each turning them public by the unit's ``export_state``.
 The loop reads each node on its first visit, a program's by
-``threads._node``.
+``threads._node``, and sorts it into one of three kinds: a step on a
+unit, a tau step, or an end, which carries its reply or its
+``DivergenceCause``, a deadlock's among them.
 
 ``run``'s configuration is the node plus those unit states, so loops
 that keep growing a state exhaust their fuel instead: the evaluator
@@ -50,7 +52,9 @@ from .services import (
     service_step,
     singleton_family,
 )
-from .threads import NodeId, PostCond, RegularThread, StopFalse, StopTrue, Tau, ThreadNode, _node, _resolve, extract
+from .threads import (
+    Deadlock, NodeId, PostCond, RegularThread, StopFalse, StopTrue, Tau, ThreadNode, _node, _resolve, extract
+)
 from .units import FunctionalUnit, interface
 
 DEFAULT_FUEL = 10**6
@@ -86,31 +90,33 @@ Outcome = Union[Converged, ProvenDivergent, FuelExhausted]
 
 
 # What the step loop does on reaching a node, resolved once per run: a
-# step on a unit, a tau step, or, after the fuel test, an end stuck on a
-# missing focus or method, or at a terminal.
-_STEP, _TAU, _STUCK, _END = range(4)
-_TERMINAL_REPLIES = {StopTrue: True, StopFalse: False}  # and None for deadlock
+# step on a unit, a tau step, or an end.
+_STEP, _TAU, _END = range(3)
+_TERMINAL_ENDS = {StopTrue: True, StopFalse: False, Deadlock: DivergenceCause.DEADLOCK}
 
 
 def _resolve_node(
     node: ThreadNode, entries: Mapping[str, Service], slots: Mapping[str, int]
 ) -> tuple:
     """``(kind, arg, step, then_ref, else_ref)`` of a node, given the
-    family's entries and the slot of each focus that holds a unit: ``arg``
-    is a step's slot, a stuck node's cause or a terminal's reply."""
+    family's entries and the slot of each focus that holds a unit.  A
+    step carries its slot in ``arg``.  An end carries its reply or its
+    ``DivergenceCause`` in ``arg`` and, in place of ``step``, the steps
+    reaching it costs: 1 at a node stuck on a missing focus or method,
+    which attempts a step, and 0 at a terminal."""
     kind = type(node)
-    if kind is PostCond:
-        action, then_ref, else_ref = node
-        if type(action) is Tau:
-            return _TAU, None, None, then_ref, else_ref
-        service = entries.get(action.focus)
-        if service is None:
-            return _STUCK, DivergenceCause.MISSING_FOCUS, None, None, None
-        step = service.unit.steps.get(action.method) if isinstance(service, UnitService) else None
-        if step is None:
-            return _STUCK, DivergenceCause.REPLY_D, None, None, None
-        return _STEP, slots[action.focus], step, then_ref, else_ref
-    return _END, _TERMINAL_REPLIES.get(kind), None, None, None
+    if kind is not PostCond:
+        return _END, _TERMINAL_ENDS[kind], 0, None, None
+    action, then_ref, else_ref = node
+    if type(action) is Tau:
+        return _TAU, None, None, then_ref, else_ref
+    service = entries.get(action.focus)
+    if service is None:
+        return _END, DivergenceCause.MISSING_FOCUS, 1, None, None
+    step = service.unit.steps.get(action.method) if type(service) is UnitService else None
+    if step is None:
+        return _END, DivergenceCause.REPLY_D, 1, None, None
+    return _STEP, slots[action.focus], step, then_ref, else_ref
 
 
 def _family(family: ServiceFamily, slots: Mapping[str, int], states: Sequence[Any]) -> ServiceFamily:
@@ -181,7 +187,8 @@ def _step_loop(root: NodeId, node_of: Callable[[NodeId], ThreadNode], family: Se
     exactly when their internal forms are.  So a configuration repeats
     internally exactly when it repeats publicly.
     Each visited node is read by ``node_of`` and resolved once, into
-    ``resolved``.
+    ``resolved``, as a step, a tau step or an end (``_resolve_node``).
+    An end whose cost takes the run past ``fuel`` is FUEL at ``fuel``.
 
     Under the fuel ``_UNBOUNDED``, which only ``run_total`` passes, after
     its constant-reply check, a configuration is the node alone: the
@@ -204,7 +211,7 @@ def _step_loop(root: NodeId, node_of: Callable[[NodeId], ThreadNode], family: Se
     slots: dict[str, int] = {}
     states: list[Any] = []
     for focus, service in entries.items():
-        if isinstance(service, UnitService):
+        if type(service) is UnitService:
             slots[focus] = len(states)
             states.append(service.state)
     resolved: dict = {}
@@ -223,10 +230,10 @@ def _step_loop(root: NodeId, node_of: Callable[[NodeId], ThreadNode], family: Se
             return ProvenDivergent(DivergenceCause.CYCLE, steps)
         kind, arg, step, then_ref, else_ref = entry
         if kind == _END:
-            if steps > fuel:
+            if steps + step > fuel:  # ``step`` holds what the end costs
                 return FuelExhausted(fuel)
-            if arg is None:
-                return ProvenDivergent(DivergenceCause.DEADLOCK, steps)
+            if type(arg) is DivergenceCause:
+                return ProvenDivergent(arg, steps)
             return Converged(arg, _family(family, slots, states), steps)
         # Under unbounded fuel neither test below can fire: a mark met again
         # is a repeat, which the table caught, and no step passes the fuel.
@@ -244,12 +251,8 @@ def _step_loop(root: NodeId, node_of: Callable[[NodeId], ThreadNode], family: Se
             next_mark = fuel if steps < fuel <= 2 * steps else 2 * steps
         if kind == _STEP:
             reply, states[arg] = step(states[arg])
-        elif kind == _TAU:
-            reply = True
-        elif steps >= fuel:
-            return FuelExhausted(fuel)
         else:
-            return ProvenDivergent(arg, steps)
+            reply = True
         steps += 1
         current = then_ref if reply else else_ref
 
@@ -315,7 +318,7 @@ def _check_constant_replies(thread: RegularThread, entries: Mapping[str, Service
         if type(node) is PostCond and type(node[0]) is BasicInstruction:
             action = node[0]
             service = entries.get(action.focus)
-            if isinstance(service, UnitService) and action.method in service.unit.varying:
+            if type(service) is UnitService and action.method in service.unit.varying:
                 raise InputError(f"{action} has no declared constant reply; use run()")
 
 
@@ -332,7 +335,7 @@ def run_total(x: Program | RegularThread, family: ServiceFamily) -> Outcome:
     # Only a method that declares no constant reply fails the scan, so a
     # family whose units have none, such as the dup unit's, skips it.
     for service in entries.values():
-        if isinstance(service, UnitService) and service.unit.varying:
+        if type(service) is UnitService and service.unit.varying:
             x = x if type(x) is RegularThread else extract(x)
             _check_constant_replies(x, entries)
             break
@@ -348,11 +351,9 @@ def reply(
     """Boolean delivered at termination, Divergent on proven divergence,
     None when the fuel ran out first."""
     outcome = run(x, family, fuel)
-    if isinstance(outcome, Converged):
+    if type(outcome) is Converged:
         return Reply.from_bool(outcome.reply)
-    if isinstance(outcome, ProvenDivergent):
-        return Reply.DIVERGENT
-    return None
+    return Reply.DIVERGENT if type(outcome) is ProvenDivergent else None
 
 
 def apply(
@@ -361,11 +362,9 @@ def apply(
     """Family after running x against it; the empty family on proven
     divergence; None when the fuel ran out first."""
     outcome = run(x, family, fuel)
-    if isinstance(outcome, Converged):
+    if type(outcome) is Converged:
         return outcome.family
-    if isinstance(outcome, ProvenDivergent):
-        return empty_family()
-    return None
+    return empty_family() if type(outcome) is ProvenDivergent else None
 
 
 def converges(
@@ -373,11 +372,9 @@ def converges(
 ) -> bool | None:
     """True on termination, False on proven divergence, None if unknown."""
     outcome = run(x, family, fuel)
-    if isinstance(outcome, Converged):
+    if type(outcome) is Converged:
         return True
-    if isinstance(outcome, ProvenDivergent):
-        return False
-    return None
+    return False if type(outcome) is ProvenDivergent else None
 
 
 # --- derived method operations ------------------------------------------
@@ -416,11 +413,9 @@ def derived_operation(
 
     def evaluate(state: Any) -> Applied | _Sentinel:
         outcome = run(thread, singleton_family(FOCUS, UnitService(unit, state)), fuel)
-        if isinstance(outcome, Converged):
+        if type(outcome) is Converged:
             service = outcome.family.entries[FOCUS]
             return Applied(outcome.reply, service.state)
-        if isinstance(outcome, ProvenDivergent):
-            return UNDEFINED
-        return UNKNOWN
+        return UNDEFINED if type(outcome) is ProvenDivergent else UNKNOWN
 
     return evaluate

@@ -62,6 +62,8 @@ class ServiceFamily:
     entries: Mapping[str, Service]
 
     def __post_init__(self):
+        # The family keeps a copy, which the caller cannot change after the check.
+        object.__setattr__(self, "entries", dict(self.entries.items()))
         for focus, service in self.entries.items():
             _check_entry(focus, service)
 
@@ -107,7 +109,7 @@ def encapsulate(foci: Iterable[str], c: ServiceFamily) -> ServiceFamily:
 
 
 def service_step(service: Service, method: str) -> tuple[Reply, Service]:
-    step = None if isinstance(service, EmptyService) else service.unit.steps.get(method)
+    step = None if type(service) is EmptyService else service.unit.steps.get(method)
     if step is None:
         return Reply.DIVERGENT, EMPTY_SERVICE
     unit = service.unit
@@ -116,9 +118,9 @@ def service_step(service: Service, method: str) -> tuple[Reply, Service]:
 
 
 def format_family(family: ServiceFamily | Mapping[str, Service]) -> str:
-    entries = family.entries if isinstance(family, ServiceFamily) else family
+    entries = family.entries if type(family) is ServiceFamily else family
     return ",".join(
-        f"{f}=empty" if isinstance(s, EmptyService) else f"{f}={s.unit.name}:{s.unit.format_state(s.state)}"
+        f"{f}=empty" if type(s) is EmptyService else f"{f}={s.unit.name}:{s.unit.format_state(s.state)}"
         for f, s in sorted(entries.items())
     )
 

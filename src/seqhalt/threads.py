@@ -263,7 +263,7 @@ def project(depth: int, t: RegularThread | FiniteThread) -> FiniteThread:
     """
     if type(depth) is not int or depth < 0:
         raise InputError("depth must be a natural number")
-    if isinstance(t, RegularThread):
+    if type(t) is RegularThread:
         # One depth at a time over all nodes: no recursion, whatever the
         # depth, and every node's subtree is built once and shared.
         level: dict[NodeId, FiniteThread] = dict.fromkeys(t.nodes, DEADLOCK)

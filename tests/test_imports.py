@@ -6,12 +6,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import get_args
 
 import pytest
-
-from seqhalt.program import Instruction
-from seqhalt.threads import ThreadNode
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "seqhalt"
 # The package's __init__ imports names only to re-export them.
@@ -273,8 +269,8 @@ def test_bare_int_call_is_found():
     assert bare_int_calls(tree) == [3, 6]
 
 
-INSTRUCTION_TYPES = {t.__name__ for t in get_args(Instruction)}
-NODE_TYPES = {t.__name__ for t in get_args(ThreadNode)} | {"Tau"}
+# Every class the package defines with a class statement.
+SOURCE_CLASSES = {n.name for p in SOURCES for n in ast.walk(ast.parse(p.read_text())) if isinstance(n, ast.ClassDef)}
 
 
 def isinstance_calls(tree: ast.Module, names: set[str]) -> list[int]:
@@ -290,46 +286,32 @@ def isinstance_calls(tree: ast.Module, names: set[str]) -> list[int]:
     return sorted(lines)
 
 
-def instruction_isinstance_calls(tree: ast.Module) -> list[int]:
-    """Lines that call ``isinstance`` with an instruction type."""
-    return isinstance_calls(tree, INSTRUCTION_TYPES)
-
-
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
-def test_instruction_types_dispatch_on_exact_type(path):
-    # Program.__post_init__ admits only elements whose exact type is an
-    # instruction type, so ``type(u) is ...`` and type-keyed tables are
-    # sound, and one way to dispatch is kept.
-    assert instruction_isinstance_calls(ast.parse(path.read_text())) == []
+def test_records_dispatch_on_exact_type(path):
+    # One way to dispatch on a record of the package: its exact type,
+    # ``type(x) is ...`` or a type-keyed table.  That is sound because each
+    # kind is built only by the package or checked where it comes in:
+    # Program.__post_init__ admits only instructions of the exact
+    # instruction types, RegularThread.__new__ only nodes and actions of
+    # the exact node and action types, and ServiceFamily.__post_init__
+    # only services of the exact service types.  Only ``str`` is tested
+    # with isinstance, where a subclass is accepted on purpose.
+    assert isinstance_calls(ast.parse(path.read_text()), SOURCE_CLASSES) == []
 
 
-def test_instruction_isinstance_call_is_found():
+def test_record_isinstance_call_is_found():
     tree = ast.parse(
-        "from seqhalt import program\n"
+        "from seqhalt import machine, program, threads\n"
         "a = isinstance(u, Plain)\nb = isinstance(u, (PosTest, str))\n"
         "c = isinstance(u, program.TermFalse)\nd = isinstance(u, PostCond)\n"
         "e = type(u) is FwdJump\nf = isinstance(u, (Tau, BwdJump)) or isinstance(u, NegTest)\n"
+        "g = isinstance(n, threads.Deadlock)\nh = isinstance(n, (BasicInstruction, StopFalse))\n"
+        "i = isinstance(n, TreeNode)\nj = isinstance(s, UnitService)\n"
+        "k = isinstance(o, machine.Converged)\nl = isinstance(t, (RegularThread, str))\n"
+        "m = isinstance(x, str)\nn = isinstance(x, (str, bytes))\no = type(s) is EmptyService\n"
+        "p = isinstance(n, (StopTrue, str))\nq = type(n) is StopFalse\n"
     )
-    assert instruction_isinstance_calls(tree) == [2, 3, 4, 7]
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
-def test_thread_nodes_dispatch_on_exact_type(path):
-    # RegularThread admits only nodes and actions of the exact node and
-    # action types, so ``type(node) is ...`` is sound, and one way to
-    # dispatch on them is kept.
-    assert isinstance_calls(ast.parse(path.read_text()), NODE_TYPES) == []
-
-
-def test_node_isinstance_call_is_found():
-    tree = ast.parse(
-        "from seqhalt import threads\n"
-        "a = isinstance(n, PostCond)\nb = isinstance(n, (StopTrue, str))\n"
-        "c = isinstance(n, threads.Deadlock)\nd = isinstance(n, Plain)\n"
-        "e = type(n) is StopFalse\nf = isinstance(a, Tau) or isinstance(t, RegularThread)\n"
-        "g = isinstance(n, TreeNode)\nh = isinstance(n, (BasicInstruction, StopFalse))\n"
-    )
-    assert isinstance_calls(tree, NODE_TYPES) == [2, 3, 4, 7, 9]
+    assert isinstance_calls(tree, SOURCE_CLASSES) == [2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 13, 17]
 
 
 def uses_outside(tree: ast.Module, name: str, helper: str | None) -> list[int]:

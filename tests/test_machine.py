@@ -24,7 +24,15 @@ from seqhalt.machine import (
     run_total,
 )
 from seqhalt.program import InputError, parse
-from seqhalt.services import EMPTY_SERVICE, Reply, UnitService, empty_family, parse_family, singleton_family
+from seqhalt.services import (
+    EMPTY_SERVICE,
+    Reply,
+    ServiceFamily,
+    UnitService,
+    empty_family,
+    parse_family,
+    singleton_family,
+)
 from seqhalt.threads import PostCond, RegularThread, STOP_TRUE, TAU, extract
 from seqhalt.units import FunctionalUnit, MethodOperation, at_left, counter_unit, dup_unit
 
@@ -259,6 +267,45 @@ class TestRun:
         # A traced run reads its steps' nodes from the extracted thread.
         assert run(x, dup_family("1"), trace=lambda line: None) == expected
         assert extracted == [x]
+
+    @pytest.mark.parametrize(
+        "text, fuel, expected",
+        [
+            ("f.succ;!t", 1, Converged(True, counter_family(1), 1)),
+            ("f.succ;!f", 1, Converged(False, counter_family(1), 1)),
+            ("f.succ;#0", 1, ProvenDivergent(DivergenceCause.DEADLOCK, 1)),
+            ("f.succ;g.succ", 1, FuelExhausted(1)),
+            ("f.succ;g.succ", 2, ProvenDivergent(DivergenceCause.MISSING_FOCUS, 1)),
+            ("f.succ;f.dup", 1, FuelExhausted(1)),
+            ("f.succ;f.dup", 2, ProvenDivergent(DivergenceCause.REPLY_D, 1)),
+        ],
+    )
+    def test_fuel_boundary_at_each_kind_of_end(self, text, fuel, expected):
+        # Each kind of end one step in, at the fuel of that step and, where
+        # the end attempts a step of its own, at the fuel after it.
+        assert run(parse(text), counter_family(0), fuel) == expected
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("f.succ;!t", Converged(True, counter_family(1), 1)),
+            ("f.succ;!f", Converged(False, counter_family(1), 1)),
+            ("f.succ;#0", ProvenDivergent(DivergenceCause.DEADLOCK, 1)),
+            ("f.succ;g.succ", ProvenDivergent(DivergenceCause.MISSING_FOCUS, 1)),
+        ],
+    )
+    def test_run_total_at_each_kind_of_end(self, text, expected):
+        assert run_total(parse(text), counter_family(0)) == expected
+
+    def test_family_is_not_changed_through_the_mapping_it_was_given(self):
+        # The family checks and keeps a copy, so a junk entry added to the
+        # caller's dict afterwards is not run as a service.
+        entries = {}
+        fam = ServiceFamily(entries)
+        entries["f"] = 5
+        assert fam.entries == {}
+        for evaluate in (run, run_total):
+            assert evaluate(parse("+f.dup;!t"), fam) == ProvenDivergent(DivergenceCause.MISSING_FOCUS, 0)
 
 
 class TestProjectionsOfRun:
