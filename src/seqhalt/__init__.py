@@ -8,6 +8,19 @@ families), ``machine`` (apply/reply/convergence with proven-divergence
 detection, and the derived operation of a program over a unit),
 ``halting`` (decision procedures and diagonal refuters for claimed
 solvers and interpreters) and ``cli``.
+
+Wrongly typed arguments.  Where the library checks an argument's type,
+a wrong one raises ``InputError``, the one type the CLI reports as a
+usage error.  Checked are the text readers (``parse``, ``parse_family``
+and ``parse_tape``), the record constructors (the instructions and
+``Program``, ``RegularThread``'s nodes and actions, ``TapeState``'s
+symbols, ``ServiceFamily``'s foci and entries), fuel, depth, position,
+``form``, unit names and family entries; on a non-string, ``decode``
+answers ``NOT_AN_ENCODING`` and ``read_natural`` None.  Any other
+wrongly typed argument is a caller bug, and may raise ``TypeError`` or
+``AttributeError``: ``run(x, None)``, ``encode("!t")``,
+``RegularThread({}, [])`` and a unit state of the wrong type in
+``UnitService``, which fails in its unit's step.
 """
 
 from .machine import Converged, FuelExhausted, ProvenDivergent, apply, converges, derived_operation, reply, run, run_total

@@ -157,10 +157,10 @@ class FunctionalUnit:
     constant reply."""
 
     name: str
-    operations: Mapping[str, MethodOperation]
-    format_state: Callable[[Any], str]
-    parse_state: Callable[[str], Any]
-    export_state: Callable[[Any], Any] = _identity
+    operations: Mapping[str, MethodOperation] = field(repr=False)
+    format_state: Callable[[Any], str] = field(repr=False)
+    parse_state: Callable[[str], Any] = field(repr=False)
+    export_state: Callable[[Any], Any] = field(default=_identity, repr=False)
     steps: Mapping[str, Callable[[Any], tuple[bool, Any]]] = field(
         init=False, repr=False, compare=False
     )

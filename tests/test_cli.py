@@ -318,18 +318,60 @@ def test_sweep_guard(capsys):
         assert code == 2 and "guarded" in err
 
 
-def test_run_sweeps_script(capsys, monkeypatch):
+# What scripts/run_sweeps.py prints at lengths 1 and 3.  At length 3 the
+# diagonal sweep runs 3615 candidates as programs, whose nodes the step
+# loop builds on their first visit.
+SWEEPS_PRINTED = {
+    1: (
+        "== sweep dup-decider (max-len 1)\n"
+        "agree=11 disagree=0\n"
+        "== sweep empty-halting (max-len 1)\n"
+        "agree=616 disagree=0\n"
+        "== sweep diagonal (max-len 1)\n"
+        "refuted=11 not-refuted=0\n"
+    ),
+    3: (
+        "== sweep dup-decider (max-len 3)\n"
+        "agree=3615 disagree=0\n"
+        "== sweep empty-halting (max-len 3)\n"
+        "agree=202440 disagree=0\n"
+        "== sweep diagonal (max-len 3)\n"
+        "refuted=3615 not-refuted=0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("max_len", SWEEPS_PRINTED)
+def test_run_sweeps_script(capsys, monkeypatch, max_len):
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_sweeps.py"
-    monkeypatch.setattr("sys.argv", ["run_sweeps.py", "--max-len", "1"])
+    monkeypatch.setattr("sys.argv", ["run_sweeps.py", "--max-len", str(max_len)])
     assert runpy.run_path(str(script))["main"]() == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "== sweep dup-decider (max-len 1)",
-        "agree=11 disagree=0",
-        "== sweep empty-halting (max-len 1)",
-        "agree=616 disagree=0",
-        "== sweep diagonal (max-len 1)",
-        "refuted=11 not-refuted=0",
-    ]
+    assert capsys.readouterr().out == SWEEPS_PRINTED[max_len]
+
+
+# Tape-basic runs print their states, which the step loop holds as bare
+# (left, right) pairs and turns into TapeStates only where they leave a
+# run: the final family, each trace line and a cycle's replay.
+TAPE_RUNS = [
+    (["run", "+f.test:end;#3;f.mvr;\\#3;f.write:1;!t", "f=tapebasic:|0101"], "T f=tapebasic:0101|1\n"),
+    (
+        ["run", "+f.test:end;#3;f.mvr;\\#3;f.write:1;!t", "f=tapebasic:|01", "--trace"],
+        "pc=1 action=f.test:end reply=F state=f=tapebasic:|01\n"
+        "pc=3 action=f.mvr reply=T state=f=tapebasic:0|1\n"
+        "pc=1 action=f.test:end reply=F state=f=tapebasic:0|1\n"
+        "pc=3 action=f.mvr reply=T state=f=tapebasic:01|\n"
+        "pc=1 action=f.test:end reply=T state=f=tapebasic:01|\n"
+        "pc=5 action=f.write:1 reply=T state=f=tapebasic:01|1\n"
+        "T f=tapebasic:01|1\n",
+    ),
+    (["run", "f.mvr;f.write:1;\\#2", "f=tapebasic:|", "--fuel", "20000"], "UNKNOWN(20000)\n"),
+    (["run", "f.mvr;f.mvl;\\#2", "f=tapebasic:|01", "--json"], '{"cause": "cycle", "outcome": "D", "steps": 2}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, printed", TAPE_RUNS, ids=["converged", "trace", "fuel", "cycle"])
+def test_tape_runs(capsys, argv, printed):
+    assert invoke(capsys, *argv) == (0, printed, "")
 
 
 def test_outputs_reproducible(capsys):

@@ -520,6 +520,17 @@ class TestValidateSolver:
         with pytest.raises(InputError, match="^f.mvl is not f.dup$"):
             replay_verdict(parse("f.mvl;!t"), validate_solver(parse("!t")))
 
+    def test_replay_of_not_refuted_holds(self):
+        assert replay_verdict(parse("!t"), NotRefuted(0)) is True
+
+    def test_replay_fails_when_the_candidate_diverges(self):
+        # The verdict claims that #0 halts on its diagonal's tape, where
+        # #0 diverges: the recorded discrepancy does not reappear.
+        x = parse("#0")
+        y = diag_solver(x)
+        verdict = RefutedByWrongReply(y, at_left(encode(y)), True, False, 0)
+        assert replay_verdict(x, verdict) is False
+
     def test_record_fields(self):
         record = verdict_record(parse("!t"), validate_solver(parse("!t")))
         assert set(record) == {

@@ -326,86 +326,42 @@ def uses_outside(tree: ast.Module, name: str, helper: str | None) -> list[int]:
     )
 
 
-def unchecked_tape_uses(tree: ast.Module, helper: str | None) -> list[int]:
-    """Lines that read ``_tape``, by name or as ``units._tape``, outside
-    the function named ``helper``."""
-    return uses_outside(tree, "_tape", helper)
+# Each private constructor that skips the check of its public one, mapped
+# to {module: the one function that may read it, or "*" for the module
+# that defines it}; a module not listed may not read it at all.  The
+# callers pass values they built or checked themselves:
+# - units._tape skips TapeState's symbol check; halting._encoded_tape
+#   passes words that are program encodings (0s and 1s) or contents of
+#   checked states;
+# - threads._thread skips RegularThread's check; extract passes the
+#   nodes it resolved itself;
+# - services._service_family skips ServiceFamily's check;
+#   machine._family passes the entries of a checked family with new
+#   states, and halting._dup_run its one dup service;
+# - program._basic skips BasicInstruction's check; parse's helper
+#   _parse_basic passes a focus and a method it has matched.
+TRUSTED = {
+    "_tape": {"units": "*", "halting": "_encoded_tape"},
+    "_thread": {"threads": "extract"},
+    "_service_family": {"services": "*", "machine": "_family", "halting": "_dup_run"},
+    "_basic": {"program": "_parse_basic"},
+}
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "units.py"], ids=lambda p: p.name)
-def test_unchecked_tapes_only_from_encodings(path):
-    # units._tape skips TapeState's symbol check.  Outside units.py only
-    # halting._encoded_tape may call it, on words that are program
-    # encodings (0s and 1s) or contents of checked states.
-    helper = "_encoded_tape" if path.name == "halting.py" else None
-    assert unchecked_tape_uses(ast.parse(path.read_text()), helper) == []
+GUARDED = [(name, p) for name, callers in TRUSTED.items() for p in SOURCES if callers.get(p.stem) != "*"]
 
 
-def test_unchecked_tape_use_is_found():
+@pytest.mark.parametrize(("name", "path"), GUARDED, ids=[f"{name}-{p.name}" for name, p in GUARDED])
+def test_unchecked_constructors_only_from_trusted_callers(name, path):
+    assert uses_outside(ast.parse(path.read_text()), name, TRUSTED[name].get(path.stem)) == []
+
+
+def test_unchecked_constructor_use_is_found():
     tree = ast.parse(
         "from seqhalt import units\nfrom seqhalt.units import _tape\n"
         "def _encoded_tape(w): return _tape(('', w))\n"
         "a = _tape(('', '2'))\nb = units._tape(('', '2'))\nc = map(_tape, [])\n"
-        "def d(w):\n    return _tape(('', w))\ne = tape(('', '2'))\n"
+        "def d(w):\n    _tape = w\n    return _tape\ne = tape(('', '2'))\n"
     )
-    assert unchecked_tape_uses(tree, "_encoded_tape") == [4, 5, 6, 8]
-    assert unchecked_tape_uses(tree, None) == [3, 4, 5, 6, 8]
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
-def test_unchecked_threads_only_from_extract(path):
-    # threads._thread skips RegularThread's check.  Only threads.extract
-    # may call it, on the nodes it resolved itself.
-    helper = "extract" if path.name == "threads.py" else None
-    assert uses_outside(ast.parse(path.read_text()), "_thread", helper) == []
-
-
-def test_unchecked_thread_use_is_found():
-    tree = ast.parse(
-        "from seqhalt import threads\nfrom seqhalt.threads import _thread\n"
-        "def extract(x): return _thread({}, 'D')\n"
-        "a = _thread({}, 'D')\nb = threads._thread({}, 'D')\nc = map(_thread, [])\n"
-        "def d(x):\n    return _thread({}, 'D')\ne = thread({}, 'D')\n"
-    )
-    assert uses_outside(tree, "_thread", "extract") == [4, 5, 6, 8]
-    assert uses_outside(tree, "_thread", None) == [3, 4, 5, 6, 8]
-
-
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "services.py"], ids=lambda p: p.name)
-def test_unchecked_families_only_from_the_step_loop(path):
-    # services._service_family skips ServiceFamily's check.  Outside
-    # services.py only machine._family, on the entries of a checked family
-    # with new states, and halting._dup_run, on its one dup service, may
-    # call it.
-    helper = {"machine.py": "_family", "halting.py": "_dup_run"}.get(path.name)
-    assert uses_outside(ast.parse(path.read_text()), "_service_family", helper) == []
-
-
-def test_unchecked_family_use_is_found():
-    tree = ast.parse(
-        "from seqhalt import services\nfrom seqhalt.services import _service_family\n"
-        "def _family(e): return _service_family(e)\n"
-        "a = _service_family({})\nb = services._service_family({})\nc = map(_service_family, [])\n"
-        "def _dup_run(x):\n    return _service_family({})\ne = service_family({})\n"
-    )
-    assert uses_outside(tree, "_service_family", "_family") == [4, 5, 6, 8]
-    assert uses_outside(tree, "_service_family", "_dup_run") == [3, 4, 5, 6]
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
-def test_unchecked_basic_instructions_only_from_parse(path):
-    # program._basic skips BasicInstruction's check.  Only parse's helper
-    # _parse_basic may call it, on a focus and a method it has matched.
-    helper = "_parse_basic" if path.name == "program.py" else None
-    assert uses_outside(ast.parse(path.read_text()), "_basic", helper) == []
-
-
-def test_unchecked_basic_instruction_use_is_found():
-    tree = ast.parse(
-        "from seqhalt import program\nfrom seqhalt.program import _basic\n"
-        "def _parse_basic(t): return _basic('f', t)\n"
-        "a = _basic('f', 'M')\nb = program._basic('f', 'M')\nc = map(_basic, [])\n"
-        "def parse(t):\n    return _basic('f', t)\ne = basic('f', 'M')\n"
-    )
-    assert uses_outside(tree, "_basic", "_parse_basic") == [4, 5, 6, 8]
-    assert uses_outside(tree, "_basic", None) == [3, 4, 5, 6, 8]
+    assert uses_outside(tree, "_tape", "_encoded_tape") == [4, 5, 6, 8, 9]
+    assert uses_outside(tree, "_tape", None) == [3, 4, 5, 6, 8, 9]

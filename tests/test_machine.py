@@ -381,6 +381,14 @@ class TestAnswerRecords:
             "Applied(reply=True, state=TapeState(left='', right='1:1'))",
         ]
 
+    def test_a_unit_shows_only_its_name(self):
+        # Its operations and state functions are left out of its repr.
+        assert repr(counter_unit()) == "FunctionalUnit(name='counter')"
+        assert repr(run(parse("f.succ;!t"), parse_family("f=counter:0"))) == (
+            "Converged(reply=True, family=ServiceFamily(entries="
+            "{'f': UnitService(unit=FunctionalUnit(name='counter'), state=1)}), steps=1)"
+        )
+
     def test_copies_and_pickles_as_records(self):
         for record in self.PLAIN:
             for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):

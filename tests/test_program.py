@@ -105,6 +105,7 @@ def test_render_canonical():
     assert render(Program((TERM_TRUE,))) == "!t"
     assert render(Program((NegTest(BasicInstruction("f", "dup")), BwdJump(1)))) == "-f.dup;\\#1"
     assert render(parse("f.test:0;#2;!f")) == "f.test:0;#2;!f"
+    assert str(parse("f.dup;!t")) == "f.dup;!t"
 
 
 @given(st_program())
@@ -150,6 +151,10 @@ def test_decode_inverts_encode(x):
 )
 def test_decode_rejects_non_encodings(bits):
     assert decode(bits) is NOT_AN_ENCODING
+
+
+def test_non_encoding_repr_is_its_name():
+    assert repr(NOT_AN_ENCODING) == "NOT_AN_ENCODING"
 
 
 # The largest counter ``str`` converts: as many nines as the digit limit.
