@@ -18,9 +18,8 @@ symbols, ``ServiceFamily``'s foci and entries), fuel, depth, position,
 ``form``, unit names and family entries; on a non-string, ``decode``
 answers ``NOT_AN_ENCODING`` and ``read_natural`` None.  Any other
 wrongly typed argument is a caller bug, and may raise ``TypeError`` or
-``AttributeError``: ``run(x, None)``, ``encode("!t")``,
-``RegularThread({}, [])`` and a unit state of the wrong type in
-``UnitService``, which fails in its unit's step.
+``AttributeError``: ``run(x, None)``, ``encode("!t")`` and a unit state
+of the wrong type in ``UnitService``, which fails in its unit's step.
 """
 
 from .machine import Converged, FuelExhausted, ProvenDivergent, apply, converges, derived_operation, reply, run, run_total

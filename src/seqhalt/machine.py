@@ -7,13 +7,10 @@ when proven: deadlock, a missing focus, a Divergent reply, or a repeated
 configuration.  One step loop serves both evaluators; they differ only
 in the configuration.  A run never changes which unit a focus holds (a
 Divergent reply ends it), so the loop keeps only each unit's state, in
-the unit's internal form.  Those states leave a run only through
-``_family`` (a converged run's family) and ``services.service_step``
-(the trace), each turning them public by the unit's ``export_state``.
-The loop reads each node on its first visit, a program's by
-``threads._node``, and sorts it into one of three kinds: a step on a
-unit, a tau step, or an end, which carries its reply or its
-``DivergenceCause``, a deadlock's among them.
+internal form (see ``units.FunctionalUnit``).  The loop reads each node
+on its first visit, a program's by ``threads._node``, and sorts it into
+one of three kinds: a step on a unit, a tau step, or an end, which
+carries its reply or its ``DivergenceCause``, a deadlock's among them.
 
 ``run``'s configuration is the node plus those unit states, so loops
 that keep growing a state exhaust their fuel instead: the evaluator
@@ -168,24 +165,24 @@ def _cycle(resolved: dict, start: int, node: Any, states: list[Any], period: int
     return FuelExhausted(fuel)
 
 
-def _start(x: Program | RegularThread) -> tuple[NodeId, Callable[[NodeId], ThreadNode]]:
+_NodeOf = Callable[[NodeId], ThreadNode]
+
+
+def _start(x: Program | RegularThread) -> tuple[NodeId, _NodeOf]:
     """The root of ``x`` and its node lookup, by the thread's table or ``_node``."""
     if type(x) is RegularThread:
         return x.root, x.nodes.__getitem__
     return _resolve(x, 1), partial(_node, x)
 
 
-def _step_loop(root: NodeId, node_of: Callable[[NodeId], ThreadNode], family: ServiceFamily, fuel: float) -> Outcome:
+def _step_loop(root: NodeId, node_of: _NodeOf, family: ServiceFamily, fuel: float) -> Outcome:
     """The step loop of both evaluators, from node ``root``.
 
     Each focus holding a unit gets a slot with that unit's state; the
     units stay fixed for the run, since a Divergent reply ends it.  The
-    slots, the marks below and ``_cycle`` hold internal states, which
-    leave the loop only through ``_family``.  A public state is taken in
-    as it is, being an internal state too (a ``TapeState`` is its
-    ``(left, right)`` pair), and two states are equal, and hash alike,
-    exactly when their internal forms are.  So a configuration repeats
-    internally exactly when it repeats publicly.
+    slots, the marks below and ``_cycle`` hold internal states (see
+    ``units.FunctionalUnit``), so a configuration repeats internally
+    exactly when it repeats publicly.
     Each visited node is read by ``node_of`` and resolved once, into
     ``resolved``, as a step, a tau step or an end (``_resolve_node``).
     An end whose cost takes the run past ``fuel`` is FUEL at ``fuel``.
@@ -257,14 +254,18 @@ def _step_loop(root: NodeId, node_of: Callable[[NodeId], ThreadNode], family: Se
         current = then_ref if reply else else_ref
 
 
-def _trace(thread: RegularThread, family: ServiceFamily, steps: int, trace: Callable[[str], None]) -> None:
-    """Take the first ``steps`` steps of a run again, on a copy of the
-    family and through ``service_step``, passing each step's line to
-    ``trace``.  An untraced run has found that none of them ends it."""
+def _trace(root: NodeId, node_of: _NodeOf, family: ServiceFamily, steps: int, trace: Callable[[str], None]) -> None:
+    """Take the first ``steps`` steps of a run from node ``root`` again, on
+    a copy of the family and through ``service_step``, passing each step's
+    line to ``trace``.  An untraced run has found that none of them ends it.
+    Each node is read by ``node_of`` once, into ``nodes``."""
     entries = dict(family.entries)
-    current = thread.root
+    nodes: dict = {}
+    current = root
     for _ in range(steps):
-        action, then_ref, else_ref = thread.nodes[current]
+        if current not in nodes:
+            nodes[current] = node_of(current)
+        action, then_ref, else_ref = nodes[current]
         if type(action) is Tau:
             reply = Reply.TRUE
         else:
@@ -303,12 +304,10 @@ def run(
     so the lines stop at the step of the outcome.
     """
     _check_fuel(fuel)
-    if trace is not None and type(x) is not RegularThread:
-        x = extract(x)  # ``_trace`` reads each step's node from the table
     root, node_of = _start(x)
     outcome = _step_loop(root, node_of, family, fuel)
     if trace is not None:
-        _trace(x, family, outcome.steps, trace)
+        _trace(root, node_of, family, outcome.steps, trace)
     return outcome
 
 

@@ -6,11 +6,10 @@ to services, each name occurring once; composing two families that share
 a name collapses that name to the empty service.  ``service_step`` is
 the one-step protocol: a known method replies True/False and steps the
 state, an unknown method replies Divergent and the service collapses.
-It runs the unit's internal step and returns the successor in public
-form, through the unit's ``export_state``.  ``machine`` replays a traced
-run's steps through it; its step loop calls each unit's internal step
-directly.  A reply that contradicts the operation's declared constant
-reply is a bug in the unit and raises AssertionError.
+It returns the successor in public form (see ``units.FunctionalUnit``);
+``machine`` replays a traced run's steps through it.  A reply that
+contradicts the operation's declared constant reply is a bug in the unit
+and raises AssertionError.
 """
 
 from __future__ import annotations

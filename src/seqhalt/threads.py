@@ -116,7 +116,7 @@ class RegularThread(namedtuple("RegularThread", "nodes root")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # and so _replace: both check
 
     def __new__(cls, nodes: Mapping[NodeId, ThreadNode], root: NodeId) -> RegularThread:
-        if root not in nodes:
+        if not _is_node(root, nodes):
             raise InputError(f"root {root!r} is not a node")
         for ref, node in nodes.items():
             kind = type(node)
@@ -125,11 +125,18 @@ class RegularThread(namedtuple("RegularThread", "nodes root")):
                 if type(action) not in _ACTION_TYPES:
                     raise InputError(f"node {ref!r} acts by {action!r}, not a basic instruction or tau")
                 for target in (then_ref, else_ref):
-                    if target not in nodes:
+                    if not _is_node(target, nodes):
                         raise InputError(f"node {ref!r} references missing {target!r}")
             elif kind not in _TERMINAL_TYPES:
                 raise InputError(f"node {ref!r} is not a thread node: {node!r}")
         return tuple.__new__(cls, (nodes, root))
+
+
+def _is_node(ref: NodeId, nodes: Mapping[NodeId, ThreadNode]) -> bool:
+    try:
+        return ref in nodes
+    except TypeError:  # an unhashable ref names no node
+        return False
 
 
 def _thread(nodes: dict[NodeId, ThreadNode], root: NodeId) -> RegularThread:

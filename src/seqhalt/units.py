@@ -8,18 +8,10 @@ space of strings over {0,1,:} split around a head position, written
 ``1:0`` with nothing to its left); a tape state is the named tuple
 ``(left, right)``, so it equals and hashes like that bare tuple and
 orders lexicographically.  ``TapeState(...)``, ``at_left`` and
-``parse_tape`` reject non-strings and other symbols.  ``_tape`` skips
-the check, for the tape operations' public steps and the tape-basic
-unit's ``export_state`` (they only move, copy or write alphabet
-symbols), for ``at_left`` once it has checked its one word and for
-``halting._encoded_tape`` (0s and 1s) only.
-
-A unit's steps in a run act on its internal states, and
-``export_state`` turns one into the public state its operations
-return.  The tape-basic unit's internal states are bare ``(left,
-right)`` pairs: its internal steps build no ``TapeState``, and a
-``TapeState``, being such a pair, is one too.  Every other stock unit's
-internal states are its public ones.
+``parse_tape`` reject non-strings and other symbols; ``_tape`` skips
+the check for the callers its comment names.  Which states a unit's
+steps act on, and how a state leaves a run, is stated in
+``FunctionalUnit``.
 
 The stock units are the four-operation counter, the single-operation
 duplication unit, the tape-basic unit whose operations are the
@@ -79,9 +71,10 @@ class TapeState(namedtuple("TapeState", "left right")):
 
 
 # A ``TapeState`` from its ``(left, right)`` pair without the symbol
-# check, for the tape operations' public steps, the tape-basic unit's
-# ``export_state``, ``at_left`` after its own check and
-# ``halting._encoded_tape`` only; see the module docstring.
+# check, for callers whose symbols are tape symbols already: ``dup_step``
+# and ``halting_op_step``, the tape-basic unit's ``export_state`` (see
+# ``FunctionalUnit``), ``at_left`` after its own check and
+# ``halting._encoded_tape`` only.
 _tape = partial(tuple.__new__, TapeState)
 
 
@@ -109,7 +102,8 @@ def parse_tape(text: str) -> TapeState:
 
 @dataclass(frozen=True)
 class MethodOperation:
-    """A named total step function with declared metadata.
+    """A named total step function on its unit's internal states (see
+    ``FunctionalUnit``), with declared metadata.
 
     ``constant_reply`` declares a reply that is independent of the state
     (None when the reply varies); ``machine.run_total`` relies on it to
@@ -119,19 +113,15 @@ class MethodOperation:
     name: str
     step: Callable[[Any], tuple[bool, Any]]
     constant_reply: bool | None = None
-    # The step on the unit's internal states, when they are not its
-    # public ones: ``step`` is it followed by the unit's ``export_state``.
-    internal_step: Callable[[Any], tuple[bool, Any]] | None = None
 
 
 def _checked_step(unit_name: str, op: MethodOperation) -> Callable[[Any], tuple[bool, Any]]:
-    """``op``'s step function on internal states, checking every reply
-    against the declared constant reply when ``op`` declares one: a
-    contradicting reply is a bug in the unit and raises AssertionError."""
-    step = op.step if op.internal_step is None else op.internal_step
-    if op.constant_reply is None:
+    """``op``'s step, checking every reply against the declared constant
+    reply when ``op`` declares one: a contradicting reply is a bug in the
+    unit and raises AssertionError."""
+    step, constant = op.step, op.constant_reply
+    if constant is None:
         return step
-    constant = op.constant_reply
 
     def checked(state: Any) -> tuple[bool, Any]:
         reply, successor = step(state)
@@ -148,12 +138,20 @@ def _identity(state: Any) -> Any:
 
 @dataclass(frozen=True)
 class FunctionalUnit:
-    """A named set of operations.  ``steps`` maps each method to its
-    step function on internal states, built once with the unit by
-    ``_checked_step``; ``export_state`` turns an internal state into the
-    public state that ``operations`` return, and is the identity unless
-    given.  A public state is an internal one too, so none is converted
-    on the way in.  ``varying`` holds the methods that declare no
+    """A named set of operations.
+
+    Each operation's ``step`` acts on the unit's internal states.
+    ``export_state``, the identity unless given, turns an internal state
+    into its public one, and is the only way out: a state leaves a run
+    only through it, in ``machine._family`` and ``services.service_step``.
+    A public state is an internal one too, so none is converted on the
+    way in, and two states are equal, and hash alike, exactly when their
+    internal forms are.  The tape-basic unit's internal states are bare
+    ``(left, right)`` pairs, a ``TapeState`` being one; every other stock
+    unit's are its public ones.
+
+    ``steps`` maps each method to its step, built once with the unit by
+    ``_checked_step``; ``varying`` holds the methods that declare no
     constant reply."""
 
     name: str
@@ -219,8 +217,7 @@ def dup_unit() -> FunctionalUnit:
     return _DUP
 
 
-# The tape-basic unit's internal states: bare ``(left, right)`` pairs,
-# which its steps take and return.  A ``TapeState`` is such a pair.
+# The tape-basic unit's internal states (see ``FunctionalUnit``).
 _Pair = tuple[str, str]
 
 
@@ -265,31 +262,18 @@ def _delete(s: _Pair) -> tuple[bool, _Pair]:
     return True, (left, right[1:])
 
 
-def _tape_operation(
-    name: str, step: Callable[[_Pair], tuple[bool, _Pair]], constant_reply: bool | None = None
-) -> MethodOperation:
-    """The tape-basic operation whose internal step is ``step``; its
-    public step returns the successor as a ``TapeState``."""
-
-    def public(s: TapeState) -> tuple[bool, TapeState]:
-        reply, successor = step(s)
-        return reply, _tape(successor)
-
-    return MethodOperation(name, public, constant_reply, step)
-
-
 def _tape_basic_ops() -> dict[str, MethodOperation]:
     ops = [
-        _tape_operation("mvl", _move_left),
-        _tape_operation("mvr", _move_right),
-        _tape_operation("test:0", _test("0")),
-        _tape_operation("test:1", _test("1")),
-        _tape_operation("test:colon", _test(":")),
-        _tape_operation("test:end", _test_end),
-        _tape_operation("write:0", _write("0"), constant_reply=True),
-        _tape_operation("write:1", _write("1"), constant_reply=True),
-        _tape_operation("write:colon", _write(":"), constant_reply=True),
-        _tape_operation("delete", _delete),
+        MethodOperation("mvl", _move_left),
+        MethodOperation("mvr", _move_right),
+        MethodOperation("test:0", _test("0")),
+        MethodOperation("test:1", _test("1")),
+        MethodOperation("test:colon", _test(":")),
+        MethodOperation("test:end", _test_end),
+        MethodOperation("write:0", _write("0"), constant_reply=True),
+        MethodOperation("write:1", _write("1"), constant_reply=True),
+        MethodOperation("write:colon", _write(":"), constant_reply=True),
+        MethodOperation("delete", _delete),
     ]
     return {op.name: op for op in ops}
 

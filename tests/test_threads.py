@@ -308,6 +308,12 @@ class TestRegularThread:
             self.THREAD._replace(root="x")
         with pytest.raises(InputError, match="^node 0 is not a thread node: 'S\\+'$"):
             RegularThread._make(({0: "S+"}, 0))
+        # An unhashable reference names no node.
+        with pytest.raises(InputError, match="^root \\[\\] is not a node$"):
+            RegularThread({}, [])
+        for node in (PostCond(FM, [], 0), PostCond(FM, 0, {})):
+            with pytest.raises(InputError, match="^node 0 references missing (\\[\\]|\\{\\})$"):
+                RegularThread({0: node}, 0)
         assert RegularThread._make((self.THREAD.nodes, 1)) == self.THREAD
 
     def test_equals_the_bare_tuple_and_does_not_hash(self):

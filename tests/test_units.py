@@ -29,7 +29,7 @@ from seqhalt.units import (
     dup_unit,
     dup_witness_program,
     format_tape,
-    halting_op_step,
+    halting_empty_unit,
     interface,
     parse_tape,
     tape_basic_unit,
@@ -228,50 +228,30 @@ SMALL_TAPES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "name, step",
-    [*((op.name, op.step) for op in tape_basic_unit().operations.values()), ("dup", dup_step), ("halting", halting_op_step)],
-)
-def test_tape_successors_equal_checked_states(name, step):
-    # The tape operations skip the symbol check; their successors must
-    # still be states the checked constructor accepts, equal and hashing
-    # alike, and of the same type: a bare (left, right) tuple would pass
-    # the equality and hash checks alone.
+TAPE_OPERATIONS = [
+    (unit, name) for unit in (tape_basic_unit(), dup_unit(), halting_empty_unit()) for name in sorted(unit.operations)
+]
+
+
+@pytest.mark.parametrize("unit, name", TAPE_OPERATIONS, ids=[name for _, name in TAPE_OPERATIONS])
+def test_tape_successors_equal_checked_states(unit, name):
+    # The tape operations skip the symbol check; their successors, made
+    # public by the unit's export_state, must still be states the checked
+    # constructor accepts, equal and hashing alike, and of the same type:
+    # a bare (left, right) tuple, which is what a tape-basic step returns,
+    # would pass the equality and hash checks alone.
     for state in SMALL_TAPES:
-        _, successor = step(state)
+        _, successor = unit.operations[name].step(state)
+        successor = unit.export_state(successor)
         checked = TapeState(successor.left, successor.right)
         assert type(successor) is TapeState
         assert successor == checked and hash(successor) == hash(checked)
 
 
-# The step loop runs each unit's internal steps, and a tape-basic one
-# returns a bare (left, right) pair, which equals and hashes like a
-# TapeState: the tests below check the type of every state that leaves
-# a run, which equality alone would not catch.
-TAPE_BASIC_NAMES = sorted(tape_basic_unit().operations)
-
-
-def assert_internal_step_exports_to_public(name, state):
-    unit = tape_basic_unit()
-    reply, internal = unit.steps[name](state)
-    exported = unit.export_state(internal)
-    assert (reply, exported) == unit.operations[name].step(state)
-    assert type(exported) is TapeState
-
-
-@pytest.mark.parametrize("name", TAPE_BASIC_NAMES)
-def test_internal_tape_steps_export_to_the_public_steps(name):
-    for state in SMALL_TAPES:
-        assert_internal_step_exports_to_public(name, state)
-
-
-@given(st_tape)
-def test_internal_tape_steps_export_to_the_public_steps_on_random_tapes(state):
-    for name in TAPE_BASIC_NAMES:
-        assert_internal_step_exports_to_public(name, state)
-
-
-# Runs that move, write and delete, each from |01 and from 0|1.
+# A tape-basic step returns a bare (left, right) pair, which equals and
+# hashes like a TapeState: the test below checks the type of every state
+# that leaves a run, which equality alone would not catch.  Its runs
+# move, write and delete, each from |01 and from 0|1.
 MOVING_PROGRAMS = ["f.mvr;f.write:colon;f.mvl;!t", "+f.delete;f.mvr;f.write:colon;!f", "f.mvr;f.mvl;f.delete;!t"]
 
 
@@ -323,7 +303,7 @@ class TestTapeBasic:
             for op in unit.operations.values():
                 reply, successor = op.step(state)
                 assert isinstance(reply, bool)
-                assert isinstance(successor, TapeState)
+                assert isinstance(unit.export_state(successor), TapeState)
 
     @given(st_tape)
     def test_colon_counts_match_declarations(self, state):
@@ -332,7 +312,7 @@ class TestTapeBasic:
             for op in unit.operations.values():
                 _, successor = op.step(state)
                 if op.name not in ("dup", "write:colon"):
-                    assert successor.content.count(":") <= state.content.count(":")
+                    assert unit.export_state(successor).content.count(":") <= state.content.count(":")
 
 
 class TestDup:
