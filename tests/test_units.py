@@ -248,6 +248,36 @@ def test_tape_successors_equal_checked_states(unit, name):
         assert successor == checked and hash(successor) == hash(checked)
 
 
+# Inside a run a tape-basic state is a bare (left, right) pair; a run
+# starts from a TapeState and converts none on the way in.  The step a
+# run takes, on either form, must export to what the operation's step
+# returns from the TapeState.
+TAPE_BASIC_NAMES = sorted(tape_basic_unit().operations)
+
+
+def assert_internal_step_exports_to_public(name, state):
+    unit = tape_basic_unit()
+    public_reply, public = unit.operations[name].step(state)
+    for internal_state in (state, tuple(state)):
+        reply, internal = unit.steps[name](internal_state)
+        exported = unit.export_state(internal)
+        assert reply is public_reply
+        assert exported == unit.export_state(public)
+        assert type(exported) is TapeState
+
+
+@pytest.mark.parametrize("name", TAPE_BASIC_NAMES)
+def test_internal_tape_steps_export_to_the_public_steps(name):
+    for state in SMALL_TAPES:
+        assert_internal_step_exports_to_public(name, state)
+
+
+@given(st_tape)
+def test_internal_tape_steps_export_to_the_public_steps_on_random_tapes(state):
+    for name in TAPE_BASIC_NAMES:
+        assert_internal_step_exports_to_public(name, state)
+
+
 # A tape-basic step returns a bare (left, right) pair, which equals and
 # hashes like a TapeState: the test below checks the type of every state
 # that leaves a run, which equality alone would not catch.  Its runs
