@@ -1,23 +1,19 @@
 """Instruction sequences over service families, with a halting lab.
 
-The pieces, each importing only the ones before it: ``program``
-(syntax, text and bit encodings), ``threads`` (behaviour extraction,
-projection, bisimilarity), ``units`` (functional units, the computable
-halting oracle among the stock ones), ``services`` (named service
-families), ``machine`` (apply/reply/convergence with proven-divergence
-detection, and the derived operation of a program over a unit),
-``halting`` (decision procedures and diagonal refuters for claimed
-solvers and interpreters) and ``cli``.
+The modules, each importing only those before it: ``program``,
+``threads``, ``units``, ``services``, ``machine``, ``halting`` and ``cli``.
 
 Wrongly typed arguments.  Where the library checks an argument's type,
 a wrong one raises ``InputError``, the one type the CLI reports as a
 usage error.  Checked are the text readers (``parse``, ``parse_family``
-and ``parse_tape``), the record constructors (the instructions and
-``Program``, ``RegularThread``'s nodes and actions, ``TapeState``'s
-symbols, ``ServiceFamily``'s foci and entries), fuel, depth, position,
-``form``, unit names and family entries; on a non-string, ``decode``
-answers ``NOT_AN_ENCODING`` and ``read_natural`` None.  Any other
-wrongly typed argument is a caller bug, and may raise ``TypeError`` or
+and ``parse_tape``); the record constructors: ``Program``'s tuple and
+its instructions, each instruction's action or jump counter,
+``RegularThread``'s mapping of nodes, its nodes, actions, references
+and root, ``TapeState``'s symbols, and ``ServiceFamily``'s mapping of
+entries, its foci and services; fuel, depth, position, ``form``, unit
+names and family entries.  On a non-string, ``decode`` answers
+``NOT_AN_ENCODING`` and ``read_natural`` None.  Any other wrongly typed
+argument is a caller bug, and may raise ``TypeError`` or
 ``AttributeError``: ``run(x, None)``, ``encode("!t")`` and a unit state
 of the wrong type in ``UnitService``, which fails in its unit's step.
 """

@@ -1,14 +1,5 @@
-"""Command-line front end.
-
-Subcommands: parse, run, transform, encode, decode, decide,
-validate-solver, check-interpreter, sweep.  Every subcommand accepts
---json for machine-readable output.  Exit codes: 0 success, 1 domain
-negative (refuted candidate, sweep counterexample), 2 input rejected (an
-``InputError``: usage, parse or program-class error), 3 internal error
-(a bug; its traceback goes to stderr), 141 the reader closed stdout (the
-status of a process that SIGPIPE ended).  Output is reproducible: no
-timestamps, no randomness.  ``main`` may run repeatedly in one process
-and builds its parser once; a one-shot ``seqhalt`` run is no faster.
+"""The ``seqhalt`` command line: its subcommands (``_build_parser``) and
+``main``, which runs one.
 """
 
 from __future__ import annotations
@@ -203,11 +194,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one ``seqhalt`` command line and return its exit code: 0
+    success, 1 a domain negative (a refuted candidate, a sweep
+    counterexample), 2 an ``InputError``, the one type of rejected input
+    (usage, parse or program-class error), 3 any other exception, a bug,
+    with its traceback on stderr (not 1, the code an uncaught exception
+    would give), and 141 when the reader closed stdout (the status of a
+    process that SIGPIPE ended).  Output is reproducible: no timestamps,
+    no randomness.  ``main`` may run repeatedly in one process and builds
+    its parser once; a one-shot ``seqhalt`` run is no faster."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # Every rejected input raises InputError; any other exception is a bug.
-    # It exits 3, so that it is read neither as a usage error (2) nor as a
-    # domain negative (1, the code an uncaught exception would give).
     try:
         code = args.func(args)
         # Flush here, so a closed stdout is met inside this handler.

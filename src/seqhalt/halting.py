@@ -1,31 +1,7 @@
-"""Halting-problem lab.
-
-Machinery around the question whether a program over a tape unit can
-decide, given an encoded program and an input on its own tape, whether
-that program halts on that input:
-
-* ``swap``/``f2d``: termination-behaviour transforms (exchange the
-  terminators; turn False-termination into divergence),
-* ``decide_halting_dup``: a real decision procedure for programs over
-  the duplication unit (every dup reply is True, so halting reduces to
-  a finite walk over program positions under that fixed reply),
-* ``decide_halting_empty_ext``: the decision procedure for programs
-  over the halting oracle, the stock unit ``units.halting_empty_unit``
-  (the first reply comes from the tape and every later one is False,
-  so the same walk decides it),
-* ``diag_solver``/``diag_interpreter``: diagonal program constructors
-  that defeat any claimed solver or total interpreter drawn from the
-  program class it is supposed to cover,
-* ``validate_solver``/``check_interpreter``: refuters that evaluate a
-  candidate on its own diagonal and report a replayable witness.
-
-The program class is fixed: every basic instruction is ``f.dup``, on the
-focus ``program.FOCUS``, which is ``f``, the focus of the diagonal's
-leading ``f.dup``.  The refuters reject a program with any other basic
-instruction.  They run every program with ``run_total`` on the dup unit,
-without fuel: the dup reply is always True, so each run ends in a reply
-or a proven divergence.  The tapes they build from encodings skip the
-symbol check (``_encoded_tape``): ``encode`` writes only 0s and 1s.
+"""The halting lab: termination transforms, decision procedures for
+halting over the dup unit and over the halting oracle, diagonal refuters
+of claimed solvers and interpreters, and sweeps that check them all
+against evaluation.
 """
 
 from __future__ import annotations
@@ -98,10 +74,8 @@ def decide_halting_dup(x: Program) -> bool:
     """Decide whether a program over the duplication unit halts.
 
     The dup reply is True on every state, so halting is the finite walk
-    over positions that follows every basic instruction's True-successor
-    (plain and positive tests continue with the next instruction,
-    negative tests skip one).  The answer does not depend on the tape
-    state, so none is taken.
+    over positions that follows every basic instruction's True-successor.
+    The answer does not depend on the tape state, so none is taken.
     """
     _check_single_method(x, _DUP_ONLY)
     return _halts(x, True, True)
@@ -158,8 +132,7 @@ def diag_solver_alt(x: Program) -> Program:
     return f2d(swap(Program((_LEADING_DUP, *x.instructions))))
 
 
-# Form name -> diagonal construction, read by ``validate_solver``,
-# ``sweep_diagonal`` and the CLI's ``--form``.
+# Form name -> diagonal construction: the ``form`` of ``validate_solver``.
 FORMS = {"first": diag_solver, "second": diag_solver_alt}
 
 
@@ -426,7 +399,6 @@ def sweep_diagonal(max_len: int) -> dict:
 
 
 # Suite name -> sweep, in the order ``seqhalt sweep --suite`` lists them and
-# scripts/run_sweeps.py runs them.  The key order of each result is a contract:
-# "suite", the passes, the failures, "counterexamples"; ``seqhalt sweep`` prints
-# the two counts in that order and exits 1 when the second is non-zero.
+# scripts/run_sweeps.py runs them.  The key order of each result is a
+# contract: "suite", the passes, the failures, "counterexamples".
 SWEEPS = {"dup-decider": sweep_dup_decider, "empty-halting": sweep_empty_halting, "diagonal": sweep_diagonal}

@@ -1,34 +1,7 @@
-"""Executes a program's behaviour against a service family.
-
-Each step performs the current node's action on the service named by its
-focus and follows the branch the reply selects.  Termination yields the
-delivered boolean and the final family.  Divergence is reported only
-when proven: deadlock, a missing focus, a Divergent reply, or a repeated
-configuration.  One step loop serves both evaluators; they differ only
-in the configuration.  A run never changes which unit a focus holds (a
-Divergent reply ends it), so the loop keeps only each unit's state, in
-internal form (see ``units.FunctionalUnit``).  The loop reads each node
-on its first visit, a program's by ``threads._node``, and sorts it into
-one of three kinds: a step on a unit, a tau step, or an end, which
-carries its reply or its ``DivergenceCause``, a deadlock's among them.
-
-``run``'s configuration is the node plus those unit states, so loops
-that keep growing a state exhaust their fuel instead: the evaluator
-never claims a divergence it cannot prove.  It finds a repeated
-configuration by R. P. Brent's cycle finding (see ``_step_loop``), so
-it holds a fixed number of configurations whatever the fuel.
-``run_total`` keys on the node only, which is sound when every reply
-involved has a declared state-independent value: each node then has a
-fixed successor, so revisiting one closes an infinite loop, and the
-loop's table of resolved nodes serves as the set of visited nodes.
-
-A tau action is stepped like a basic one whose reply is always True,
-without touching a service.  ``run`` passes an optional trace hook one
-formatted line per step, by replaying the run's steps through
-``services.service_step`` once its outcome is known.
-
-``derived_operation`` is the partial operation a program induces over a
-unit: one ``run`` against the singleton family holding the unit.
+"""Runs a program or a thread against a service family: ``run`` within a
+fuel, ``run_total`` without one, and ``derived_operation``, the partial
+operation a program induces over a unit.  A run reports divergence only
+when it proves it; otherwise its fuel runs out.
 """
 
 from __future__ import annotations
@@ -86,8 +59,7 @@ class FuelExhausted(NamedTuple):
 Outcome = Union[Converged, ProvenDivergent, FuelExhausted]
 
 
-# What the step loop does on reaching a node, resolved once per run: a
-# step on a unit, a tau step, or an end.
+# The node kinds (see ``_resolve_node``).
 _STEP, _TAU, _END = range(3)
 _TERMINAL_ENDS = {StopTrue: True, StopFalse: False, Deadlock: DivergenceCause.DEADLOCK}
 
@@ -96,11 +68,14 @@ def _resolve_node(
     node: ThreadNode, entries: Mapping[str, Service], slots: Mapping[str, int]
 ) -> tuple:
     """``(kind, arg, step, then_ref, else_ref)`` of a node, given the
-    family's entries and the slot of each focus that holds a unit.  A
-    step carries its slot in ``arg``.  An end carries its reply or its
-    ``DivergenceCause`` in ``arg`` and, in place of ``step``, the steps
-    reaching it costs: 1 at a node stuck on a missing focus or method,
-    which attempts a step, and 0 at a terminal."""
+    family's entries and the slot of each focus that holds a unit.  The
+    kind is one of three.  ``_STEP``, a step on a unit, carries its slot
+    in ``arg``.  ``_TAU``, a tau step, is a step whose reply is True and
+    which touches no service.  ``_END`` carries its reply or its
+    ``DivergenceCause``, a deadlock's among them, in ``arg`` and, in
+    place of ``step``, the steps reaching it costs: 1 at a node stuck on
+    a missing focus or method, which attempts a step, and 0 at a
+    terminal."""
     kind = type(node)
     if kind is not PostCond:
         return _END, _TERMINAL_ENDS[kind], 0, None, None
@@ -182,27 +157,26 @@ def _step_loop(root: NodeId, node_of: _NodeOf, family: ServiceFamily, fuel: floa
     units stay fixed for the run, since a Divergent reply ends it.  The
     slots, the marks below and ``_cycle`` hold internal states (see
     ``units.FunctionalUnit``), so a configuration repeats internally
-    exactly when it repeats publicly.
-    Each visited node is read by ``node_of`` and resolved once, into
-    ``resolved``, as a step, a tau step or an end (``_resolve_node``).
-    An end whose cost takes the run past ``fuel`` is FUEL at ``fuel``.
+    exactly when it repeats publicly.  Each visited node is read by
+    ``node_of`` and resolved once, into ``resolved``, by
+    ``_resolve_node``.  An end whose cost takes the run past ``fuel`` is
+    FUEL at ``fuel``.
 
-    Under the fuel ``_UNBOUNDED``, which only ``run_total`` passes, after
-    its constant-reply check, a configuration is the node alone: the
-    table is the set of visited nodes, and a node found in it proves a
-    cycle.
-    Under a finite ``fuel`` it is the node plus every slot's state.  The
-    loop saves the configuration, the mark, at each power of two below
-    ``fuel`` and at ``fuel``, and compares every step's configuration
-    with it (R. P. Brent, BIT 20, 1980).  A configuration before a cycle
-    never recurs, so a match at step s with the mark of step c proves a
-    cycle of period exactly s - c, and the mark lies on it.  ``_cycle``
-    then finds where the cycle is entered, replaying from the mark
-    before when its window up to this mark was at least the period long,
-    and so saw the cycle if it lay on it, and from the root otherwise.  A
-    cycle that closes by ``fuel`` passes the mark of ``fuel`` and meets
-    it again within ``fuel`` steps, so no match by step 2 * ``fuel`` is
-    FUEL at ``fuel``; so is a run that ends after step ``fuel``.
+    Under the fuel ``_UNBOUNDED`` (see ``run_total``) a configuration is
+    the node alone: the table is the set of visited nodes, and a node
+    found in it proves a cycle.  Under a finite ``fuel`` it is the node
+    plus every slot's state.  The loop saves the configuration, the mark,
+    at each power of two below ``fuel`` and at ``fuel``, and compares
+    every step's configuration with it (R. P. Brent, BIT 20, 1980).  A
+    configuration before a cycle never recurs, so a match at step s with
+    the mark of step c proves a cycle of period exactly s - c, and the
+    mark lies on it.  ``_cycle`` then finds where the cycle is entered,
+    replaying from the mark before when its window up to this mark was at
+    least the period long, and so saw the cycle if it lay on it, and from
+    the root otherwise.  A cycle that closes by ``fuel`` passes the mark
+    of ``fuel`` and meets it again within ``fuel`` steps, so no match by
+    step 2 * ``fuel`` is FUEL at ``fuel``; so is a run that ends after
+    step ``fuel``.
     """
     entries = family.entries
     slots: dict[str, int] = {}
@@ -255,10 +229,9 @@ def _step_loop(root: NodeId, node_of: _NodeOf, family: ServiceFamily, fuel: floa
 
 
 def _trace(root: NodeId, node_of: _NodeOf, family: ServiceFamily, steps: int, trace: Callable[[str], None]) -> None:
-    """Take the first ``steps`` steps of a run from node ``root`` again, on
-    a copy of the family and through ``service_step``, passing each step's
-    line to ``trace``.  An untraced run has found that none of them ends it.
-    Each node is read by ``node_of`` once, into ``nodes``."""
+    """The traced replay of ``run``: its first ``steps`` steps from
+    ``root``, none of which ends it, on a copy of the family.  Each node
+    is read by ``node_of`` once, into ``nodes``."""
     entries = dict(family.entries)
     nodes: dict = {}
     current = root
@@ -297,11 +270,11 @@ def run(
     configurations whatever the fuel.
 
     ``trace``, when given, is called once per step, in step order and
-    before the next step runs, with the line
-    ``pc=<node> action=<action> reply=<T|F> state=<family literal>``.
-    The run is made untraced first; its outcome's steps are then taken
-    again through ``services.service_step``, each passed to ``trace``,
-    so the lines stop at the step of the outcome.
+    before the next step runs, with the line ``pc=<node> action=<action>
+    reply=<T|F> state=<family literal>``.  The run is made untraced
+    first; its outcome's steps are then taken again through
+    ``services.service_step`` (``_trace``), so the lines stop at the
+    step of the outcome.
     """
     _check_fuel(fuel)
     root, node_of = _start(x)
@@ -326,20 +299,18 @@ def run_total(x: Program | RegularThread, family: ServiceFamily) -> Outcome:
     state-independent reply.
 
     Then each node has a fixed successor, so revisiting a node closes an
-    infinite loop: divergence is proven by pigeonhole instead of fuel.
-    It extracts a program, to check every node it can reach, only when a
-    unit of the family has a method with no declared constant reply.
+    infinite loop: ``_step_loop`` may key on the node alone, and a run
+    without a repeated node takes fewer steps than the thread has nodes,
+    so it needs no fuel.  It extracts a program, to check every node it
+    can reach, only when a unit of the family has a method with no
+    declared constant reply.
     """
     entries = family.entries
-    # Only a method that declares no constant reply fails the scan, so a
-    # family whose units have none, such as the dup unit's, skips it.
     for service in entries.values():
         if type(service) is UnitService and service.unit.varying:
             x = x if type(x) is RegularThread else extract(x)
             _check_constant_replies(x, entries)
             break
-    # The configuration is the node only.  A run without repeated nodes
-    # takes fewer steps than the thread has nodes, so it needs no fuel.
     root, node_of = _start(x)
     return _step_loop(root, node_of, family, _UNBOUNDED)
 

@@ -1,22 +1,11 @@
-"""Instruction sequences with boolean termination.
+"""Programs: non-empty sequences of primitive instructions with boolean
+termination, their canonical text (``parse``, ``render``) and their bit
+encoding (``encode``, ``decode``).
 
-A program is a non-empty sequence of primitive instructions, numbered from 1:
-
-    f.m     plain basic instruction: ask the service named f to process
-            method m, then continue with the next instruction whatever
-            the reply is
-    +f.m    positive test: continue with the next instruction on reply
-            True, skip one instruction on False
-    -f.m    negative test: same, with the roles of the replies swapped
-    #l      jump forward to the l-th next instruction (#0 deadlocks)
-    \\#l     jump backward to the l-th previous instruction (\\#0 deadlocks)
-    !t      terminate delivering True
-    !f      terminate delivering False
-
-The canonical text form joins instructions with ";" and no whitespace.
-``encode``/``decode`` give the injective bit-sequence form used when a
-program is written onto a tape as input for another program: the ASCII
-bytes of the canonical text, each emitted most significant bit first.
+The instructions, as ``parse`` reads them: ``f.m`` (plain), ``+f.m`` and
+``-f.m`` (positive and negative test), ``#l`` and ``\\#l`` (jump forward
+and backward), ``!t`` and ``!f`` (terminate with True and with False).
+``threads._node`` states how each one continues.
 """
 
 from __future__ import annotations
@@ -63,18 +52,27 @@ class BasicInstruction:
 
 
 @dataclass(frozen=True)
-class Plain:
+class _WithAction:
+    """An instruction that performs ``action``, of the exact type
+    ``BasicInstruction``."""
+
     action: BasicInstruction
 
+    def __post_init__(self):
+        if type(self.action) is not BasicInstruction:
+            raise InputError(f"not a basic instruction: {self.action!r}")
 
-@dataclass(frozen=True)
-class PosTest:
-    action: BasicInstruction
+
+class Plain(_WithAction):
+    pass
 
 
-@dataclass(frozen=True)
-class NegTest:
-    action: BasicInstruction
+class PosTest(_WithAction):
+    pass
+
+
+class NegTest(_WithAction):
+    pass
 
 
 # Every digit limit of int-to-str conversion but 0 (none) is at least this.
@@ -125,12 +123,14 @@ _INSTRUCTIONS = frozenset(get_args(Instruction))
 
 @dataclass(frozen=True)
 class Program:
-    """A non-empty tuple of primitive instructions; positions are 1-based.
-    Each element's type is exactly one of the instruction types."""
+    """A non-empty ``tuple`` of instructions, each of exactly one
+    instruction type; positions are 1-based."""
 
     instructions: tuple[Instruction, ...]
 
     def __post_init__(self):
+        if type(self.instructions) is not tuple:
+            raise InputError(f"instructions must be a tuple, not {type(self.instructions).__name__}")
         if not self.instructions:
             raise ProgramSyntaxError("program has no instructions")
         for u in self.instructions:
@@ -151,8 +151,9 @@ class Program:
         return render(self)
 
 
-# The program class: every basic instruction of a program the halting lab
-# decides, refutes or enumerates uses this one focus.
+# The program classes of the halting lab: every basic instruction of a
+# program it decides, refutes or enumerates is on this one focus, with the
+# class's one method (``foreign_action``).
 FOCUS = "f"
 
 
@@ -189,9 +190,9 @@ def render(x: Program) -> str:
 
 
 def _basic(focus: str, method: str) -> BasicInstruction:
-    """A ``BasicInstruction`` set up as its ``__init__`` does, without the
-    check of its ``__post_init__``, for ``_parse_basic`` only, which has
-    matched both parts already."""
+    """A ``BasicInstruction`` without the check of its ``__post_init__``,
+    for a focus and a method that have matched ``_FOCUS_RE`` and
+    ``_METHOD_RE`` (``TRUSTED`` in ``tests/test_imports.py``)."""
     action = object.__new__(BasicInstruction)
     object.__setattr__(action, "focus", focus)
     object.__setattr__(action, "method", method)

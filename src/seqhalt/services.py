@@ -1,15 +1,6 @@
-"""Service families: named services with composition and encapsulation.
-
-A service is either the empty service (rejects every method) or a
-functional unit paired with a current state.  A family maps foci (names)
-to services, each name occurring once; composing two families that share
-a name collapses that name to the empty service.  ``service_step`` is
-the one-step protocol: a known method replies True/False and steps the
-state, an unknown method replies Divergent and the service collapses.
-It returns the successor in public form (see ``units.FunctionalUnit``);
-``machine`` replays a traced run's steps through it.  A reply that
-contradicts the operation's declared constant reply is a bug in the unit
-and raises AssertionError.
+"""Service families: services by focus (``ServiceFamily``), their
+composition and encapsulation, the one-step protocol (``service_step``)
+and the family literals (``parse_family``, ``format_family``).
 """
 
 from __future__ import annotations
@@ -55,12 +46,15 @@ Service = Union[EmptyService, UnitService]
 
 @dataclass(frozen=True)
 class ServiceFamily:
-    """Services by focus: each focus a ``str`` that ``_FOCUS_RE`` matches,
-    each service of the exact type ``EmptyService`` or ``UnitService``."""
+    """Services by focus, from any ``collections.abc.Mapping``: each focus
+    a ``str`` that ``_FOCUS_RE`` matches, each service of the exact type
+    ``EmptyService`` or ``UnitService``."""
 
     entries: Mapping[str, Service]
 
     def __post_init__(self):
+        if not isinstance(self.entries, Mapping):
+            raise InputError(f"entries must be a mapping, not {type(self.entries).__name__}")
         # The family keeps a copy, which the caller cannot change after the check.
         object.__setattr__(self, "entries", dict(self.entries.items()))
         for focus, service in self.entries.items():
@@ -75,10 +69,9 @@ def _check_entry(focus: str, service: Service) -> None:
 
 
 def _service_family(entries: Mapping[str, Service]) -> ServiceFamily:
-    """A ``ServiceFamily`` without the check, for entries known to pass
-    it: those this module has checked or taken from checked families,
-    those ``machine._family`` gives new states and ``halting._dup_run``'s
-    one dup service."""
+    """A ``ServiceFamily`` without the check, and without a copy, for a
+    dict of entries that pass the check and that the caller does not
+    change afterwards (``TRUSTED`` in ``tests/test_imports.py``)."""
     family = object.__new__(ServiceFamily)
     object.__setattr__(family, "entries", entries)
     return family
@@ -108,6 +101,10 @@ def encapsulate(foci: Iterable[str], c: ServiceFamily) -> ServiceFamily:
 
 
 def service_step(service: Service, method: str) -> tuple[Reply, Service]:
+    """One step: a method of the service's unit replies True or False and
+    steps the state, returned in public form (see ``units.FunctionalUnit``);
+    any other method, or the empty service, replies Divergent and the
+    service collapses to the empty one."""
     step = None if type(service) is EmptyService else service.unit.steps.get(method)
     if step is None:
         return Reply.DIVERGENT, EMPTY_SERVICE

@@ -1,32 +1,10 @@
 """Regular threads: the behaviours programs exhibit under execution.
 
-A thread performs basic actions one at a time; after each action the
-environment's boolean reply selects how it continues.  The constants are
-deadlock (D), termination with True (S+) and termination with False (S-);
-the one composite form is the postconditional node ``x <| a |> y``:
-perform ``a``, continue as ``x`` on reply True and as ``y`` on False.
-The internal action tau always receives reply True, so a tau node's else
-branch is semantically identified with its then branch.
-
-A node is one of the terminals or a ``PostCond``, the named tuple
-``(action, then_ref, else_ref)``; a ``RegularThread`` is the named tuple
-``(nodes, root)``.  The readers on the run path unpack a node and
-dispatch on its exact type, which ``RegularThread`` makes sound by
-admitting exact node and action types only.
-
-``extract`` turns a program into its behaviour graph by resolving jumps
-transparently: a position outside the program, a 0-jump, or a cyclic jump
-chain all yield deadlock.  ``_node``, the one successor rule, builds each
-node, for ``extract`` and for the machine on a node's first visit.  The
-thread ``extract`` returns skips ``RegularThread``'s check (``_thread``):
-every node ``_node`` makes is a ``PostCond`` of an instruction's action
-or a terminal, and every reference one it resolved itself.
-
-``project`` cuts a thread off after a given number of actions; two
-regular threads are equal exactly when all finite projections agree.
-``bisimilar`` and ``projections_agree`` both read the first depth at
-which the projections differ off one breadth-first walk over the node
-pairs reached in lockstep from the two roots.
+A thread performs basic actions one at a time, and the reply to each
+selects how it goes on (``PostCond``), until it terminates with True or
+False or deadlocks.  ``extract`` gives a program's thread, ``project``
+its finite approximations, and ``bisimilar`` tells whether two threads
+behave alike.
 """
 
 from __future__ import annotations
@@ -52,6 +30,9 @@ from .program import (
 
 @dataclass(frozen=True)
 class Tau:
+    """The internal action.  Its reply is always True, so a tau node's
+    else branch counts as its then branch."""
+
     def __str__(self) -> str:
         return "tau"
 
@@ -88,7 +69,8 @@ STOP_FALSE = StopFalse()
 
 class PostCond(NamedTuple):
     """The postconditional node ``x <| a |> y``, as the tuple ``(action,
-    then_ref, else_ref)``.  It equals and hashes like the bare tuple."""
+    then_ref, else_ref)``: perform ``a``, then go on as ``x`` on the reply
+    True and as ``y`` on False.  It equals and hashes like the bare tuple."""
 
     action: Action
     then_ref: NodeId
@@ -109,13 +91,16 @@ class RegularThread(namedtuple("RegularThread", "nodes root")):
     the tuple ``(nodes, root)``.  It equals that bare tuple and, with a
     dict of nodes, ``hash`` raises ``TypeError``.
 
-    Each node's exact type is ``PostCond`` or a terminal type, and each
-    ``PostCond`` action's is ``BasicInstruction`` or ``Tau``."""
+    ``nodes`` is any ``collections.abc.Mapping``.  Each node's exact type
+    is ``PostCond`` or a terminal type, each ``PostCond`` action's is
+    ``BasicInstruction`` or ``Tau``, and each reference is a node."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # and so _replace: both check
 
     def __new__(cls, nodes: Mapping[NodeId, ThreadNode], root: NodeId) -> RegularThread:
+        if not isinstance(nodes, Mapping):
+            raise InputError(f"nodes must be a mapping, not {type(nodes).__name__}")
         if not _is_node(root, nodes):
             raise InputError(f"root {root!r} is not a node")
         for ref, node in nodes.items():
@@ -140,7 +125,11 @@ def _is_node(ref: NodeId, nodes: Mapping[NodeId, ThreadNode]) -> bool:
 
 
 def _thread(nodes: dict[NodeId, ThreadNode], root: NodeId) -> RegularThread:
-    """A ``RegularThread`` without the check, for ``extract`` only."""
+    """A ``RegularThread`` without the check, for a table of ``_node``'s
+    nodes that holds the root and every reference they make (``TRUSTED``
+    in ``tests/test_imports.py``): each node is a terminal or a
+    ``PostCond`` of an instruction's action, which the instruction's
+    constructor has checked."""
     return tuple.__new__(RegularThread, (nodes, root))
 
 
@@ -153,7 +142,9 @@ _TERMINAL_IDS = {"D": DEADLOCK, "S+": STOP_TRUE, "S-": STOP_FALSE}
 
 
 def _resolve(x: Program, i: int) -> NodeId:
-    """Chase jumps from position i to a basic instruction or terminal."""
+    """Chase jumps from position i to a basic instruction's position, or
+    to "S+" or "S-" at a terminal; a position outside the program, a
+    0-jump or a cycle of jumps gives "D", deadlock."""
     instructions = x.instructions
     k = len(instructions)
     seen = None  # the jumps chased (only they can repeat), a set from the first
@@ -181,15 +172,12 @@ def _halts(x: Program, first: bool, later: bool) -> bool:
     replies ``first`` and every later one replies ``later``.
 
     Execution is a walk whose state is a position and the reply pending
-    for the next basic instruction.  A jump moves the position and keeps
-    the reply; a basic instruction moves it by one or two, as its test
-    kind and the reply select, and leaves ``later`` pending.  Each step
-    depends only on the state, so a repeated state means divergence.  A
-    cycle of jumps repeats a state too, and it deadlocks, which is not
-    convergence either, so one set of states serves both.  The walk
-    converges exactly when it reaches !t or !f; leaving positions 1..k
-    deadlocks.  Its one loop does both the jump chase and the successor
-    rule, which ``extract`` and the machine share (``_node``).
+    for the next basic instruction, which ``later`` then replaces.  Each
+    step depends only on the state, so a repeated state means divergence,
+    or deadlock on a cycle of jumps: neither converges, so one set of
+    states serves both.  The walk converges exactly when it reaches !t or
+    !f; leaving positions 1..k deadlocks.  Its one loop does both the
+    jump chase and the successor rule, and shares neither with ``_node``.
     """
     instructions = x.instructions
     k = len(instructions)
@@ -223,9 +211,10 @@ def _halts(x: Program, first: bool, later: bool) -> bool:
 
 
 def _node(x: Program, ref: NodeId) -> ThreadNode:
-    """The node at ``ref``, a terminal id or a position ``_resolve`` gave:
-    from position i, +f.m goes near (i + 1, jumps chased) on True and far
-    (i + 2) on False, -f.m the other way round, f.m near on either."""
+    """The node at ``ref``, a terminal id or a position ``_resolve`` gave,
+    by the one successor rule: from position i, +f.m goes near (i + 1,
+    jumps chased) on True and far (i + 2) on False, -f.m the other way
+    round, f.m near on either."""
     if type(ref) is str:
         return _TERMINAL_IDS[ref]
     u = x.instructions[ref - 1]  # a basic instruction: _resolve stops only there
@@ -262,12 +251,10 @@ FiniteThread = Union[Deadlock, StopTrue, StopFalse, TreeNode]
 
 
 def project(depth: int, t: RegularThread | FiniteThread) -> FiniteThread:
-    """The depth-n approximation: cut off after n actions.
-
-    Depth 0 is deadlock; terminals are fixed points; a postconditional
-    takes the depth-(n-1) projections of its branches (tau nodes are
-    normalised so the else branch equals the then branch).
-    """
+    """The depth-n approximation: cut off after n actions.  Depth 0 is
+    deadlock, terminals are fixed points, and a postconditional takes the
+    depth-(n-1) projections of its branches (a tau node's both its then
+    branch, see ``Tau``)."""
     if type(depth) is not int or depth < 0:
         raise InputError("depth must be a natural number")
     if type(t) is RegularThread:
@@ -313,8 +300,8 @@ def _normalised_refs(node: PostCond) -> tuple[NodeId, NodeId]:
 
 
 def bisimilar(t1: RegularThread, t2: RegularThread) -> bool:
-    """Behavioural equality of two regular threads (tau-normalised): all
-    their finite projections agree."""
+    """Whether all finite projections of t1 and t2 agree: two regular
+    threads are equal exactly then."""
     return _first_disagreement(t1, t2) is None
 
 

@@ -1,25 +1,7 @@
-"""Functional units: named method operations over a state space.
-
-A method operation is a total function state -> (reply, state); a
-functional unit is a finite, per-name-unique set of them.  Two state
-spaces are built in: the unbounded counter (naturals) and the tape-like
-space of strings over {0,1,:} split around a head position, written
-``left|right`` (``|1:0`` means the head sits on the first symbol of
-``1:0`` with nothing to its left); a tape state is the named tuple
-``(left, right)``, so it equals and hashes like that bare tuple and
-orders lexicographically.  ``TapeState(...)``, ``at_left`` and
-``parse_tape`` reject non-strings and other symbols; ``_tape`` skips
-the check for the callers its comment names.  Which states a unit's
-steps act on, and how a state leaves a run, is stated in
-``FunctionalUnit``.
-
-The stock units are the four-operation counter, the single-operation
-duplication unit, the tape-basic unit whose operations are the
-elementary steps of a tape machine (moves, symbol tests, writes,
-delete), and the computable halting oracle over the otherwise empty
-unit.  ``dup_witness_program`` is a program over the tape-basic unit
-whose derived operation (``machine.derived_operation``) is exactly the
-duplication operation.
+"""Functional units (``FunctionalUnit``) and the stock ones: the counter,
+the duplication unit, the tape-basic unit and the halting oracle over the
+otherwise empty unit; and ``dup_witness_program``, a tape-basic program
+whose derived operation is the duplication.
 """
 
 from __future__ import annotations
@@ -46,9 +28,10 @@ _TAPE_SYMBOLS = "".join(TAPE_ALPHABET)
 
 
 class TapeState(namedtuple("TapeState", "left right")):
-    """The tuple ``(left, right)`` of tape content split around the head,
-    which is on the first symbol of ``right`` (past the end if empty).  It
-    equals and hashes like the bare tuple; states order lexicographically."""
+    """The tuple ``(left, right)`` of tape content over 0, 1 and ':', split
+    around the head, which is on the first symbol of ``right`` (past the
+    end if empty), written ``left|right``.  It equals and hashes like the
+    bare tuple; states order lexicographically."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # and so _replace: both check
@@ -71,10 +54,8 @@ class TapeState(namedtuple("TapeState", "left right")):
 
 
 # A ``TapeState`` from its ``(left, right)`` pair without the symbol
-# check, for callers whose symbols are tape symbols already: ``dup_step``
-# and ``halting_op_step``, the tape-basic unit's ``export_state`` (see
-# ``FunctionalUnit``), ``at_left`` after its own check and
-# ``halting._encoded_tape`` only.
+# check, for parts of tape symbols only (``TRUSTED`` in
+# ``tests/test_imports.py``).
 _tape = partial(tuple.__new__, TapeState)
 
 
@@ -103,12 +84,8 @@ def parse_tape(text: str) -> TapeState:
 @dataclass(frozen=True)
 class MethodOperation:
     """A named total step function on its unit's internal states (see
-    ``FunctionalUnit``), with declared metadata.
-
-    ``constant_reply`` declares a reply that is independent of the state
-    (None when the reply varies); ``machine.run_total`` relies on it to
-    prove divergence.
-    """
+    ``FunctionalUnit``).  ``constant_reply`` is its reply on every state,
+    or None when the reply varies; ``machine.run_total`` relies on it."""
 
     name: str
     step: Callable[[Any], tuple[bool, Any]]
@@ -138,7 +115,7 @@ def _identity(state: Any) -> Any:
 
 @dataclass(frozen=True)
 class FunctionalUnit:
-    """A named set of operations.
+    """A named set of operations, each keyed by its own name.
 
     Each operation's ``step`` acts on the unit's internal states.
     ``export_state``, the identity unless given, turns an internal state

@@ -1,5 +1,11 @@
-"""Every name a module of the package imports is used in that module, and
-every private top-level name of the package is used somewhere in it."""
+"""Guards over the package's source: no unused import and none inside a
+function, imports running one way down ``LAYERS``, no orphaned private
+name, caches only bounded and only on the functions ``CACHED`` lists, no
+parser built on import, the count of settable values, no bare
+``ValueError`` and no one-argument ``int``, dispatch on the package's
+records by exact type, and the unchecked constructors read only where
+``TRUSTED`` allows.  The ``..._is_found`` and ``..._is_counted`` tests
+check the guards' own readers on small sources."""
 
 import ast
 import os
@@ -311,12 +317,11 @@ def isinstance_calls(tree: ast.Module, names: set[str]) -> list[int]:
 def test_records_dispatch_on_exact_type(path):
     # One way to dispatch on a record of the package: its exact type,
     # ``type(x) is ...`` or a type-keyed table.  That is sound because each
-    # kind is built only by the package or checked where it comes in:
-    # Program.__post_init__ admits only instructions of the exact
-    # instruction types, RegularThread.__new__ only nodes and actions of
-    # the exact node and action types, and ServiceFamily.__post_init__
-    # only services of the exact service types.  Only ``str`` is tested
-    # with isinstance, where a subclass is accepted on purpose.
+    # kind is built only by the package or checked by exact type where it
+    # comes in: instructions by Program, their actions by their own
+    # constructors, nodes and actions by RegularThread, services by
+    # ServiceFamily.  Only ``str`` is tested with isinstance, where a
+    # subclass is accepted on purpose.
     assert isinstance_calls(ast.parse(path.read_text()), SOURCE_CLASSES) == []
 
 
@@ -347,20 +352,10 @@ def uses_outside(tree: ast.Module, name: str, helper: str | None) -> list[int]:
     )
 
 
-# Each private constructor that skips the check of its public one, mapped
-# to {module: the one function that may read it, or "*" for the module
-# that defines it}; a module not listed may not read it at all.  The
-# callers pass values they built or checked themselves:
-# - units._tape skips TapeState's symbol check; halting._encoded_tape
-#   passes words that are program encodings (0s and 1s) or contents of
-#   checked states;
-# - threads._thread skips RegularThread's check; extract passes the
-#   nodes it resolved itself;
-# - services._service_family skips ServiceFamily's check;
-#   machine._family passes the entries of a checked family with new
-#   states, and halting._dup_run its one dup service;
-# - program._basic skips BasicInstruction's check; parse's helper
-#   _parse_basic passes a focus and a method it has matched.
+# The one list of the callers of each private constructor that skips the
+# check of its public one (where it is defined, the package says why that
+# is safe): {module: the one function that may read it, or "*" for the
+# module that defines it}; a module not listed may not read it at all.
 TRUSTED = {
     "_tape": {"units": "*", "halting": "_encoded_tape"},
     "_thread": {"threads": "extract"},

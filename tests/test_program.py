@@ -233,6 +233,15 @@ def test_program_rejects_a_non_instruction():
     for stray in ("f.m", BasicInstruction("f", "m"), None, subclassed):
         with pytest.raises(InputError, match="^not an instruction: "):
             Program((FwdJump(1), stray, TERM_TRUE))
+    # A list would not hash, and could change after the check.
+    for instructions, kind in ((5, "int"), ([TERM_TRUE], "list")):
+        with pytest.raises(InputError, match=f"^instructions must be a tuple, not {kind}$"):
+            Program(instructions)
+    # extract would put any other action into a thread unchecked.
+    like_action = type("LikeBasicInstruction", (BasicInstruction,), {})("f", "m")
+    for instruction, action in ((Plain, "f.m"), (PosTest, None), (NegTest, like_action)):
+        with pytest.raises(InputError, match="^not a basic instruction: "):
+            instruction(action)
 
 
 @pytest.mark.parametrize(

@@ -106,6 +106,9 @@ def test_family_rejects_a_malformed_entry():
         [(focus, service)] = entries.items()
         with pytest.raises(InputError, match=message):
             singleton_family(focus, service)
+    for entries in ([], None):
+        with pytest.raises(InputError, match="^entries must be a mapping, not "):
+            ServiceFamily(entries)
     fam = ServiceFamily({"f": EmptyService(), "g0": UnitService(dup_unit(), at_left("1"))})
     assert format_family(fam) == "f=empty,g0=dup:|1"
 

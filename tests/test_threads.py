@@ -314,6 +314,9 @@ class TestRegularThread:
         for node in (PostCond(FM, [], 0), PostCond(FM, 0, {})):
             with pytest.raises(InputError, match="^node 0 references missing (\\[\\]|\\{\\})$"):
                 RegularThread({0: node}, 0)
+        for nodes, root in (([0], 0), ("ab", "a")):
+            with pytest.raises(InputError, match="^nodes must be a mapping, not "):
+                RegularThread(nodes, root)
         assert RegularThread._make((self.THREAD.nodes, 1)) == self.THREAD
 
     def test_equals_the_bare_tuple_and_does_not_hash(self):
