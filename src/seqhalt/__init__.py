@@ -9,7 +9,8 @@ usage error.  Checked are the text readers (``parse``, ``parse_family``
 and ``parse_tape``); the record constructors: ``Program``'s tuple and
 its instructions, each instruction's action or jump counter,
 ``RegularThread``'s mapping of nodes, its nodes, actions, references
-and root, ``TapeState``'s symbols, and ``ServiceFamily``'s mapping of
+and root, ``TapeState``'s symbols, ``FunctionalUnit``'s mapping of
+operations and each operation, and ``ServiceFamily``'s mapping of
 entries, its foci and services; fuel, depth, position, ``form``, unit
 names and family entries.  On a non-string, ``decode`` answers
 ``NOT_AN_ENCODING`` and ``read_natural`` None.  Any other wrongly typed

@@ -31,22 +31,12 @@ from .services import Reply, format_family, parse_family
 from .units import parse_tape
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    """Print a subcommand's result: ``payload`` as JSON under --json, else
-    ``text``, which may run over several lines."""
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
-
-
-def _cmd_parse(args) -> int:
+def _cmd_parse(args) -> tuple[dict, str, int]:
     x = parse(args.program)
-    _emit(args, {"program": render(x), "length": len(x)}, render(x))
-    return 0
+    return {"program": render(x), "length": len(x)}, render(x), 0
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[dict, str, int]:
     x = parse(args.program)
     family = parse_family(args.family)
     outcome = run(x, family, args.fuel, print if args.trace else None)
@@ -61,50 +51,44 @@ def _cmd_run(args) -> int:
     else:
         text = f"UNKNOWN({outcome.steps})"
         payload = {"outcome": "UNKNOWN", "steps": outcome.steps}
-    _emit(args, payload, text)
-    return 0
+    return payload, text, 0
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args) -> tuple[dict, str, int]:
     x = parse(args.program)
     for op in args.ops or []:
         x = op(x)
-    _emit(args, {"program": render(x)}, render(x))
-    return 0
+    return {"program": render(x)}, render(x), 0
 
 
-def _cmd_encode(args) -> int:
+def _cmd_encode(args) -> tuple[dict, str, int]:
     bits = encode(parse(args.program))
-    _emit(args, {"bits": bits}, bits)
-    return 0
+    return {"bits": bits}, bits, 0
 
 
-def _cmd_decode(args) -> int:
+def _cmd_decode(args) -> tuple[dict, str, int]:
     result = decode(args.bits)
     program = None if result is NOT_AN_ENCODING else render(result)
-    _emit(args, {"program": program}, program or "NOT-AN-ENCODING")
-    return 0
+    return {"program": program}, program or "NOT-AN-ENCODING", 0
 
 
-def _cmd_decide(args) -> int:
+def _cmd_decide(args) -> tuple[dict, str, int]:
     x = parse(args.program)
     # Parsed for both units, so a bad tape literal is a usage error.
     state = parse_tape(args.state)
     answer = decide_halting_dup(x) if args.unit == "dup" else decide_halting_empty_ext(x, state)
-    _emit(args, {"halts": answer}, str(answer))
-    return 0
+    return {"halts": answer}, str(answer), 0
 
 
-def _cmd_validate_solver(args) -> int:
+def _cmd_validate_solver(args) -> tuple[dict, str, int]:
     x = parse(args.candidate)
     verdict = validate_solver(x, form=args.form)
     record = verdict_record(x, verdict)
     text = " ".join(f"{key}={record[key]}" for key in sorted(record) if record[key] is not None)
-    _emit(args, record, text)
-    return 0 if type(verdict) is NotRefuted else 1
+    return record, text, 0 if type(verdict) is NotRefuted else 1
 
 
-def _cmd_check_interpreter(args) -> int:
+def _cmd_check_interpreter(args) -> tuple[dict, str, int]:
     x = parse(args.candidate)
     samples = []
     for item in args.sample or []:
@@ -117,11 +101,10 @@ def _cmd_check_interpreter(args) -> int:
     checks = [("sample", item) for item in record["samples"]] + [("diagonal", record["diagonal"])]
     lines = [f"{kind} {item['program']} @ {item['state']}: {item['status']}" for kind, item in checks]
     lines.append(f"passed={str(report.passed).lower()}")
-    _emit(args, record, "\n".join(lines))
-    return 0 if report.passed else 1
+    return record, "\n".join(lines), 0 if report.passed else 1
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[dict, str, int]:
     if not 1 <= args.max_len <= 5:
         raise InputError("sweep enumeration is guarded at 1 <= --max-len <= 5")
     result = SWEEPS[args.suite](args.max_len)
@@ -129,8 +112,7 @@ def _cmd_sweep(args) -> int:
     _, good, bad, _ = result
     lines = [f"{good}={result[good]} {bad}={result[bad]}"]
     lines += [f"counterexample: {example}" for example in result["counterexamples"]]
-    _emit(args, result, "\n".join(lines))
-    return 1 if result[bad] else 0
+    return result, "\n".join(lines), 1 if result[bad] else 0
 
 
 @lru_cache(maxsize=1)
@@ -200,13 +182,17 @@ def main(argv: list[str] | None = None) -> int:
     (usage, parse or program-class error), 3 any other exception, a bug,
     with its traceback on stderr (not 1, the code an uncaught exception
     would give), and 141 when the reader closed stdout (the status of a
-    process that SIGPIPE ended).  Output is reproducible: no timestamps,
-    no randomness.  ``main`` may run repeatedly in one process and builds
-    its parser once; a one-shot ``seqhalt`` run is no faster."""
+    process that SIGPIPE ended).  A subcommand prints nothing (but the
+    steps of ``run --trace``, as they come) and returns ``(payload, text,
+    code)``: ``main`` prints the payload as JSON under ``--json``, else
+    the text, which may run over several lines.  Output is reproducible: no
+    timestamps, no randomness.  ``main`` may run repeatedly in one process
+    and builds its parser once; a one-shot ``seqhalt`` run is no faster."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        payload, text, code = args.func(args)
+        print(json.dumps(payload, sort_keys=True) if args.json else text)
         # Flush here, so a closed stdout is met inside this handler.
         sys.stdout.flush()
         return code

@@ -142,7 +142,11 @@ class FunctionalUnit:
     varying: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.operations, Mapping):
+            raise InputError(f"operations must be a mapping, not {type(self.operations).__name__}")
         for key, op in self.operations.items():
+            if type(op) is not MethodOperation:
+                raise InputError(f"not a method operation at {key!r}: {op!r}")
             if key != op.name:
                 raise InputError(f"operation {op.name!r} registered under {key!r}")
         steps = {key: _checked_step(self.name, op) for key, op in self.operations.items()}

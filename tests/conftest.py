@@ -1,4 +1,5 @@
-"""Shared generators for random programs, threads and service families."""
+"""Shared generators for random programs, threads and service families,
+and the one-focus families and outcome reader that several test files use."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import random
 
 from hypothesis import strategies as st
 
+from seqhalt.machine import Converged, ProvenDivergent
 from seqhalt.program import (
     BasicInstruction,
     BwdJump,
@@ -18,7 +20,7 @@ from seqhalt.program import (
     TERM_FALSE,
     TERM_TRUE,
 )
-from seqhalt.services import EMPTY_SERVICE, ServiceFamily, UnitService
+from seqhalt.services import EMPTY_SERVICE, Reply, ServiceFamily, UnitService, singleton_family
 from seqhalt.threads import (
     DEADLOCK,
     PostCond,
@@ -27,7 +29,7 @@ from seqhalt.threads import (
     STOP_TRUE,
     TAU,
 )
-from seqhalt.units import TapeState, counter_unit, dup_unit, tape_basic_unit
+from seqhalt.units import TapeState, at_left, counter_unit, dup_unit, halting_empty_unit, tape_basic_unit
 
 
 class Fuel(enum.IntEnum):
@@ -35,6 +37,26 @@ class Fuel(enum.IntEnum):
     exact ``int``."""
 
     TEN = 10
+
+
+def counter_family(n=0):
+    return singleton_family("f", UnitService(counter_unit(), n))
+
+
+def dup_family(word=""):
+    return singleton_family("f", UnitService(dup_unit(), at_left(word)))
+
+
+def halting_family(word=""):
+    return singleton_family("f", UnitService(halting_empty_unit(), at_left(word)))
+
+
+def definite(outcome) -> Reply:
+    """Reply of a resolved outcome: T, F or D."""
+    if isinstance(outcome, Converged):
+        return Reply.from_bool(outcome.reply)
+    assert isinstance(outcome, ProvenDivergent)
+    return Reply.DIVERGENT
 
 
 def st_basic(foci=("f",), methods=("m", "test:0")):

@@ -11,7 +11,18 @@ import itertools
 import random
 import time
 
-from conftest import postcond_thread, random_family, random_program, random_thread, unrolled
+import frozen_walk
+from conftest import (
+    counter_family,
+    definite,
+    dup_family,
+    halting_family,
+    postcond_thread,
+    random_family,
+    random_program,
+    random_thread,
+    unrolled,
+)
 from seqhalt.halting import (
     NotRefuted,
     bit_blocks,
@@ -73,7 +84,6 @@ from seqhalt.units import (
     dup_step,
     dup_unit,
     dup_witness_program,
-    halting_empty_unit,
     tape_basic_unit,
 )
 
@@ -81,25 +91,6 @@ from seqhalt.units import (
 def _report(number: int, name: str, **stats) -> None:
     details = " ".join(f"{key}={value}" for key, value in stats.items())
     print(f"\nACCEPTANCE {number:02d} {name}: PASS ({details})")
-
-
-def counter_family(n=0):
-    return singleton_family("f", UnitService(counter_unit(), n))
-
-
-def dup_family(word=""):
-    return singleton_family("f", UnitService(dup_unit(), at_left(word)))
-
-
-def halting_family(word=""):
-    return singleton_family("f", UnitService(halting_empty_unit(), at_left(word)))
-
-
-def definite(outcome) -> Reply:
-    if isinstance(outcome, Converged):
-        return Reply.from_bool(outcome.reply)
-    assert isinstance(outcome, ProvenDivergent)
-    return Reply.DIVERGENT
 
 
 def test_criterion_01_axiom_suites():
@@ -313,38 +304,17 @@ def test_criterion_07_reflexive_solution_empty_unit():
 
     ys = list(enumerate_programs({"halting"}, 3))
 
-    def two_phase(thread):
-        # exact quotient run: before the first halting application the
-        # state is the initial word, afterwards permanently empty
-        def sim(first_reply):
-            current, phase = thread.root, 0
-            seen = set()
-            while True:
-                node = thread.nodes[current]
-                if node is STOP_TRUE:
-                    return (True, True)
-                if node is STOP_FALSE:
-                    return (True, False)
-                if not isinstance(node, PostCond):
-                    return (False, None)
-                if (current, phase) in seen:
-                    return (False, None)
-                seen.add((current, phase))
-                r = first_reply if phase == 0 else False
-                phase = 1
-                current = node.then_ref if r else node.else_ref
-
-        return {True: sim(True), False: sim(False)}
-
+    # The reference: y's convergence when every halting reply is False.
+    # The first reply is False on these words (above), and the first
+    # halting application leaves the tape empty, where every later reply
+    # is False too.
     pairs = 0
-    tables = {}
+    converges = {y: frozen_walk.halts(y, False, False) for y in ys}
     for y in ys:
-        thread = extract(y)
-        tables[y] = two_phase(thread)
         decided = decide_halting_empty_ext(y, at_left("0"))
-        assert decided == tables[y][False][0], render(y)
+        assert decided == converges[y], render(y)
     for y in ys:
-        converges_here = tables[y][False][0]
+        converges_here = converges[y]
         for word in words:
             # The solver's reply on each short word equals y's convergence
             # under all-False halting replies, which these words give; the
@@ -371,7 +341,7 @@ def test_criterion_07_reflexive_solution_empty_unit():
             out_y = run(thread, halting_family(word), 300)
             assert not isinstance(out_y, FuelExhausted)
             actual = isinstance(out_y, Converged)
-            assert actual == tables[y][False][0], render(y)
+            assert actual == converges[y], render(y)
             assert actual == decide_halting_empty_ext(y, at_left(word))
             out_x = run(solver_thread, halting_family(f"{ybar}:{word}"), 300)
             assert isinstance(out_x, Converged)

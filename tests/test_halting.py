@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frozen_walk
-from conftest import random_program, st_program
+from conftest import definite, dup_family, halting_family, random_program, st_program
 from seqhalt import halting
 from seqhalt.machine import Converged, FuelExhausted, ProvenDivergent, run
 from seqhalt.program import (
@@ -26,7 +26,7 @@ from seqhalt.program import (
     parse,
     render,
 )
-from seqhalt.services import Reply, UnitService, singleton_family
+from seqhalt.services import UnitService, singleton_family
 from seqhalt.halting import (
     InterpreterReport,
     NotRefuted,
@@ -53,22 +53,12 @@ from seqhalt.units import (
     _halting_reply,
     at_left,
     counter_unit,
-    dup_unit,
-    halting_empty_unit,
     halting_op_step,
 )
 
 
 # Every dup program up to length 3: the candidates of the exhaustive checks.
 DUP_CANDIDATES = list(enumerate_programs({"dup"}, 3))
-
-
-def halting_family(word):
-    return singleton_family("f", UnitService(halting_empty_unit(), at_left(word)))
-
-
-def dup_family(word):
-    return singleton_family("f", UnitService(dup_unit(), at_left(word)))
 
 
 class TestTransforms:
@@ -632,14 +622,6 @@ class TestTransformReplyLaws:
             assert isinstance(f2d_out, ProvenDivergent)
 
 
-def definite_reply(outcome):
-    """Reply of a resolved outcome: T, F or D."""
-    if isinstance(outcome, Converged):
-        return Reply.from_bool(outcome.reply)
-    assert isinstance(outcome, ProvenDivergent)
-    return Reply.DIVERGENT
-
-
 class TestDupPrefixLaw:
     # No deadline: a dup loop runs to the fuel of 2000 steps, which can
     # take longer than hypothesis's default 200 ms on a slow host.
@@ -658,12 +640,12 @@ class TestDupPrefixLaw:
         dup_plain = parse("f.dup;!t").instructions[:1]
         for word in (bits, f"{bits}:{tail}"):
             prefixed = Program(dup_plain + x.instructions)
-            left = definite_reply(run_total(prefixed, dup_family(word)))
-            right = definite_reply(run_total(x, dup_family(f"{bits}:{word}")))
+            left = definite(run_total(prefixed, dup_family(word)))
+            right = definite(run_total(x, dup_family(f"{bits}:{word}")))
             assert left == right
             bounded = run(x, dup_family(f"{bits}:{word}"), 2000)
             if not isinstance(bounded, FuelExhausted):
-                assert definite_reply(bounded) == right
+                assert definite(bounded) == right
 
 
 class TestSweepsKeepTenCounterexamples:

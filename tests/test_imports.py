@@ -2,9 +2,9 @@
 function, imports running one way down ``LAYERS``, no orphaned private
 name, caches only bounded and only on the functions ``CACHED`` lists, no
 parser built on import, the count of settable values, no bare
-``ValueError`` and no one-argument ``int``, dispatch on the package's
-records by exact type, and the unchecked constructors read only where
-``TRUSTED`` allows.  The ``..._is_found`` and ``..._is_counted`` tests
+``ValueError`` and no one-argument ``int``, no ``print`` to stdout but
+in ``cli.main``, dispatch on the package's records by exact type, and
+the unchecked constructors read only where ``TRUSTED`` allows.  The ``..._is_found`` and ``..._is_counted`` tests
 check the guards' own readers on small sources."""
 
 import ast
@@ -263,10 +263,14 @@ def test_bare_value_error_is_found():
     assert bare_value_errors(tree) == [2, 3]
 
 
+def inside(tree: ast.Module, function: str | None) -> set[int]:
+    """``id``s of the nodes inside each function named ``function``."""
+    return {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == function for n in ast.walk(f)}
+
+
 def bare_int_calls(tree: ast.Module) -> list[int]:
     """Lines that call ``int`` on one argument outside ``read_natural``."""
-    reader = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "read_natural"]
-    inside = {id(n) for f in reader for n in ast.walk(f)}
+    reader = inside(tree, "read_natural")
     return sorted(
         n.lineno
         for n in ast.walk(tree)
@@ -274,7 +278,7 @@ def bare_int_calls(tree: ast.Module) -> list[int]:
         and isinstance(n.func, ast.Name)
         and n.func.id == "int"
         and len(n.args) + len(n.keywords) == 1
-        and id(n) not in inside
+        and id(n) not in reader
     )
 
 
@@ -294,6 +298,37 @@ def test_bare_int_call_is_found():
         "def c(t): return int(t, base=16)\nn = int('5')\nm = x.int('5')\n"
     )
     assert bare_int_calls(tree) == [3, 6]
+
+
+def stdout_prints(tree: ast.Module, function: str | None) -> list[int]:
+    """Lines that call ``print`` without a ``file=`` keyword outside the
+    function named ``function``."""
+    allowed = inside(tree, function)
+    return sorted(
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and getattr(n.func, "id", None) == "print"
+        and not any(k.arg == "file" for k in n.keywords)
+        and id(n) not in allowed
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_one_print_path(path):
+    # A subcommand returns its result, and cli.main prints it, once.
+    # Passing print to run as the trace hook is not a call, so it passes.
+    assert stdout_prints(ast.parse(path.read_text()), "main" if path.stem == "cli" else None) == []
+
+
+def test_stdout_print_is_found():
+    tree = ast.parse(
+        "import sys\ndef main():\n    print('ok')\ndef a(): print('x')\n"
+        "def b(): print('x', file=sys.stderr)\ndef c(t): return run(print if t else None)\n"
+        "print()\nd = log.print('x')\n"
+    )
+    assert stdout_prints(tree, "main") == [4, 7]
+    assert stdout_prints(tree, None) == [3, 4, 7]
 
 
 # Every class the package defines with a class statement.
@@ -343,12 +378,12 @@ def test_record_isinstance_call_is_found():
 def uses_outside(tree: ast.Module, name: str, helper: str | None) -> list[int]:
     """Lines that read ``name``, as a name or as an attribute, outside the
     function named ``helper``."""
-    inside = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == helper for n in ast.walk(f)}
+    allowed = inside(tree, helper)
     return sorted(
         n.lineno
         for n in ast.walk(tree)
         if (isinstance(n, ast.Name) and n.id == name or isinstance(n, ast.Attribute) and n.attr == name)
-        and id(n) not in inside
+        and id(n) not in allowed
     )
 
 

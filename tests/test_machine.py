@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import Fuel, random_family, random_program
+from conftest import Fuel, counter_family, dup_family, random_family, random_program
 from seqhalt import machine
 from seqhalt.machine import (
     Applied,
@@ -34,15 +34,7 @@ from seqhalt.services import (
     singleton_family,
 )
 from seqhalt.threads import PostCond, RegularThread, STOP_TRUE, TAU, extract
-from seqhalt.units import FunctionalUnit, MethodOperation, at_left, counter_unit, dup_unit
-
-
-def counter_family(n=0):
-    return singleton_family("f", UnitService(counter_unit(), n))
-
-
-def dup_family(word=""):
-    return singleton_family("f", UnitService(dup_unit(), at_left(word)))
+from seqhalt.units import FunctionalUnit, MethodOperation, at_left, counter_unit
 
 
 def counting_counter_family(n, calls):

@@ -72,6 +72,18 @@ class TestInterfaces:
         with pytest.raises(InputError, match="^operation 'dup' registered under 'copy'$"):
             FunctionalUnit("dup", {"copy": MethodOperation("dup", dup_step)}, format_tape, parse_tape)
 
+    @pytest.mark.parametrize(
+        ("operations", "message"),
+        [
+            ([], "^operations must be a mapping, not list$"),
+            (None, "^operations must be a mapping, not NoneType$"),
+            ({"a": 5}, "^not a method operation at 'a': 5$"),
+        ],
+    )
+    def test_malformed_operations_rejected(self, operations, message):
+        with pytest.raises(InputError, match=message):
+            FunctionalUnit("x", operations, str, str)
+
 
 class TestCounter:
     def test_values(self):
