@@ -59,36 +59,35 @@ class FuelExhausted(NamedTuple):
 Outcome = Union[Converged, ProvenDivergent, FuelExhausted]
 
 
-# The node kinds (see ``_resolve_node``).
-_STEP, _TAU, _END = range(3)
-_TERMINAL_ENDS = {StopTrue: True, StopFalse: False, Deadlock: DivergenceCause.DEADLOCK}
+_TERMINAL_ENDS = {StopTrue: (True, 0), StopFalse: (False, 0), Deadlock: (DivergenceCause.DEADLOCK, 0)}
 
 
-def _resolve_node(
-    node: ThreadNode, entries: Mapping[str, Service], slots: Mapping[str, int]
-) -> tuple:
-    """``(kind, arg, step, then_ref, else_ref)`` of a node, given the
-    family's entries and the slot of each focus that holds a unit.  The
-    kind is one of three.  ``_STEP``, a step on a unit, carries its slot
-    in ``arg``.  ``_TAU``, a tau step, is a step whose reply is True and
-    which touches no service.  ``_END`` carries its reply or its
-    ``DivergenceCause``, a deadlock's among them, in ``arg`` and, in
-    place of ``step``, the steps reaching it costs: 1 at a node stuck on
-    a missing focus or method, which attempts a step, and 0 at a
-    terminal."""
+def _tau_step(state: Any) -> tuple[bool, Any]:
+    return True, state
+
+
+def _resolve_node(node: ThreadNode, entries: Mapping[str, Service], slots: Mapping[str, int]) -> tuple:
+    """A node in one of two shapes, given the family's entries and the
+    slot of each focus that holds a unit.  A node that steps is ``(slot,
+    step, then_ref, else_ref)``: a step on a unit, or a tau step, which
+    is ``_tau_step`` on slot 0, replies True and touches no service.  A
+    node that ends the run is ``(end, cost)``: its reply or its
+    ``DivergenceCause``, a deadlock's among them, and the steps reaching
+    it costs: 1 at a node stuck on a missing focus or method, which
+    attempts a step, and 0 at a terminal."""
     kind = type(node)
     if kind is not PostCond:
-        return _END, _TERMINAL_ENDS[kind], 0, None, None
+        return _TERMINAL_ENDS[kind]
     action, then_ref, else_ref = node
     if type(action) is Tau:
-        return _TAU, None, None, then_ref, else_ref
+        return 0, _tau_step, then_ref, else_ref
     service = entries.get(action.focus)
     if service is None:
-        return _END, DivergenceCause.MISSING_FOCUS, 1, None, None
+        return DivergenceCause.MISSING_FOCUS, 1
     step = service.unit.steps.get(action.method) if type(service) is UnitService else None
     if step is None:
-        return _END, DivergenceCause.REPLY_D, 1, None, None
-    return _STEP, slots[action.focus], step, then_ref, else_ref
+        return DivergenceCause.REPLY_D, 1
+    return slots[action.focus], step, then_ref, else_ref
 
 
 def _family(family: ServiceFamily, slots: Mapping[str, int], states: Sequence[Any]) -> ServiceFamily:
@@ -108,13 +107,10 @@ def _family(family: ServiceFamily, slots: Mapping[str, int], states: Sequence[An
 
 
 def _advance(resolved: dict, node: Any, states: list[Any]) -> Any:
-    """The node after ``node``, a resolved ``_STEP`` or ``_TAU`` node,
-    whose step runs on ``states`` in place."""
-    kind, arg, step, then_ref, else_ref = resolved[node]
-    if kind == _STEP:
-        reply, states[arg] = step(states[arg])
-    else:
-        reply = True
+    """The node after ``node``, a resolved node, whose step runs on
+    ``states`` in place."""
+    slot, step, then_ref, else_ref = resolved[node]
+    reply, states[slot] = step(states[slot])
     return then_ref if reply else else_ref
 
 
@@ -153,14 +149,16 @@ def _start(x: Program | RegularThread) -> tuple[NodeId, _NodeOf]:
 def _step_loop(root: NodeId, node_of: _NodeOf, family: ServiceFamily, fuel: float) -> Outcome:
     """The step loop of both evaluators, from node ``root``.
 
-    Each focus holding a unit gets a slot with that unit's state; the
+    Each focus holding a unit gets a slot with that unit's state, from
+    slot 1: slot 0 is reserved for ``_tau_step`` and holds None.  The
     units stay fixed for the run, since a Divergent reply ends it.  The
     slots, the marks below and ``_cycle`` hold internal states (see
     ``units.FunctionalUnit``), so a configuration repeats internally
     exactly when it repeats publicly.  Each visited node is read by
-    ``node_of`` and resolved once, into ``resolved``, by
-    ``_resolve_node``.  An end whose cost takes the run past ``fuel`` is
-    FUEL at ``fuel``.
+    ``node_of`` and resolved by ``_resolve_node`` once.  A node that
+    steps is stored in ``resolved``; an end is never stored, since it
+    ends the run at its first visit.  An end whose cost takes the run
+    past ``fuel`` is FUEL at ``fuel``.
 
     Under the fuel ``_UNBOUNDED`` (see ``run_total``) a configuration is
     the node alone: the table is the set of visited nodes, and a node
@@ -180,12 +178,13 @@ def _step_loop(root: NodeId, node_of: _NodeOf, family: ServiceFamily, fuel: floa
     """
     entries = family.entries
     slots: dict[str, int] = {}
-    states: list[Any] = []
+    states: list[Any] = [None]
     for focus, service in entries.items():
         if type(service) is UnitService:
             slots[focus] = len(states)
             states.append(service.state)
     resolved: dict = {}
+    revisit_is_cycle = fuel is _UNBOUNDED
     current = root
     steps = 0
     # The node and states saved at step ``mark_step``, and those saved at
@@ -196,23 +195,24 @@ def _step_loop(root: NodeId, node_of: _NodeOf, family: ServiceFamily, fuel: floa
     while True:
         entry = resolved.get(current)
         if entry is None:
-            entry = resolved[current] = _resolve_node(node_of(current), entries, slots)
-        elif fuel is _UNBOUNDED:
+            entry = _resolve_node(node_of(current), entries, slots)
+            if len(entry) == 2:
+                end, cost = entry
+                if steps + cost > fuel:
+                    return FuelExhausted(fuel)
+                if type(end) is DivergenceCause:
+                    return ProvenDivergent(end, steps)
+                return Converged(end, _family(family, slots, states), steps)
+            resolved[current] = entry
+        elif revisit_is_cycle:
             return ProvenDivergent(DivergenceCause.CYCLE, steps)
-        kind, arg, step, then_ref, else_ref = entry
-        if kind == _END:
-            if steps + step > fuel:  # ``step`` holds what the end costs
-                return FuelExhausted(fuel)
-            if type(arg) is DivergenceCause:
-                return ProvenDivergent(arg, steps)
-            return Converged(arg, _family(family, slots, states), steps)
         # Under unbounded fuel neither test below can fire: a mark met again
         # is a repeat, which the table caught, and no step passes the fuel.
         if current == mark and states == marked:
             period = steps - mark_step
             # Before the first mark there is none: replay from the root.
             if before_states is None or mark_step - before_step < period:
-                before_step, before, before_states = 0, root, [entries[f].state for f in slots]
+                before_step, before, before_states = 0, root, [None] + [entries[f].state for f in slots]
             return _cycle(resolved, before_step, before, before_states, period, fuel)
         if steps == next_mark:
             if steps > fuel:
@@ -220,10 +220,8 @@ def _step_loop(root: NodeId, node_of: _NodeOf, family: ServiceFamily, fuel: floa
             before_step, before, before_states = mark_step, mark, marked
             mark_step, mark, marked = steps, current, list(states)
             next_mark = fuel if steps < fuel <= 2 * steps else 2 * steps
-        if kind == _STEP:
-            reply, states[arg] = step(states[arg])
-        else:
-            reply = True
+        slot, step, then_ref, else_ref = entry
+        reply, states[slot] = step(states[slot])
         steps += 1
         current = then_ref if reply else else_ref
 

@@ -88,11 +88,10 @@ _ACTION_TYPES = (BasicInstruction, Tau)
 
 class RegularThread(namedtuple("RegularThread", "nodes root")):
     """A finite, closed system of thread equations with a root node, as
-    the tuple ``(nodes, root)``.  It equals that bare tuple and, with a
-    dict of nodes, ``hash`` raises ``TypeError``.
-
-    ``nodes`` is any ``collections.abc.Mapping``.  Each node's exact type
-    is ``PostCond`` or a terminal type, each ``PostCond`` action's is
+    the tuple ``(nodes, root)``, which it equals; ``hash`` raises
+    ``TypeError``.  It keeps a checked ``dict`` copy of ``nodes``, any
+    ``collections.abc.Mapping``: each node's exact type is ``PostCond``
+    or a terminal type, each ``PostCond`` action's is
     ``BasicInstruction`` or ``Tau``, and each reference is a node."""
 
     __slots__ = ()
@@ -101,6 +100,7 @@ class RegularThread(namedtuple("RegularThread", "nodes root")):
     def __new__(cls, nodes: Mapping[NodeId, ThreadNode], root: NodeId) -> RegularThread:
         if not isinstance(nodes, Mapping):
             raise InputError(f"nodes must be a mapping, not {type(nodes).__name__}")
+        nodes = dict(nodes.items())
         if not _is_node(root, nodes):
             raise InputError(f"root {root!r} is not a node")
         for ref, node in nodes.items():
@@ -125,9 +125,10 @@ def _is_node(ref: NodeId, nodes: Mapping[NodeId, ThreadNode]) -> bool:
 
 
 def _thread(nodes: dict[NodeId, ThreadNode], root: NodeId) -> RegularThread:
-    """A ``RegularThread`` without the check, for a table of ``_node``'s
-    nodes that holds the root and every reference they make (``TRUSTED``
-    in ``tests/test_imports.py``): each node is a terminal or a
+    """A ``RegularThread`` without the check or the copy, for a table of
+    ``_node``'s nodes that holds the root and every reference they make,
+    which the caller does not change afterwards (``TRUSTED`` in
+    ``tests/test_imports.py``): each node is a terminal or a
     ``PostCond`` of an instruction's action, which the instruction's
     constructor has checked."""
     return tuple.__new__(RegularThread, (nodes, root))

@@ -101,10 +101,10 @@ def _checked_step(unit_name: str, op: MethodOperation) -> Callable[[Any], tuple[
         return step
 
     def checked(state: Any) -> tuple[bool, Any]:
-        reply, successor = step(state)
-        if reply != constant:
+        result = step(state)
+        if result[0] != constant:
             raise AssertionError(f"declared constant reply violated by {unit_name}.{op.name}")
-        return reply, successor
+        return result
 
     return checked
 
@@ -127,9 +127,9 @@ class FunctionalUnit:
     ``(left, right)`` pairs, a ``TapeState`` being one; every other stock
     unit's are its public ones.
 
-    ``steps`` maps each method to its step, built once with the unit by
-    ``_checked_step``; ``varying`` holds the methods that declare no
-    constant reply."""
+    ``operations`` is kept as a checked ``dict`` copy; ``steps`` maps each
+    method to its step, built once with the unit by ``_checked_step``;
+    ``varying`` holds the methods that declare no constant reply."""
 
     name: str
     operations: Mapping[str, MethodOperation] = field(repr=False)
@@ -144,6 +144,7 @@ class FunctionalUnit:
     def __post_init__(self):
         if not isinstance(self.operations, Mapping):
             raise InputError(f"operations must be a mapping, not {type(self.operations).__name__}")
+        object.__setattr__(self, "operations", dict(self.operations.items()))
         for key, op in self.operations.items():
             if type(op) is not MethodOperation:
                 raise InputError(f"not a method operation at {key!r}: {op!r}")

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import tracemalloc
+from functools import partial
 from typing import get_args
 
 import pytest
@@ -31,6 +32,7 @@ from seqhalt.services import (
     UnitService,
     empty_family,
     parse_family,
+    service_step,
     singleton_family,
 )
 from seqhalt.threads import PostCond, RegularThread, STOP_TRUE, TAU, extract
@@ -232,6 +234,19 @@ class TestRun:
         for evaluate in (run, run_total):
             with pytest.raises(AssertionError, match="declared constant reply"):
                 evaluate(parse("f.m;!t"), fam)
+        # A unit declaring False that replies True, on the traced path and
+        # through service_step too.
+        false_liar = FunctionalUnit(
+            "liar", {"m": MethodOperation("m", lambda n: (True, n), constant_reply=False)}, str, int
+        )
+        for unit in (liar, false_liar):
+            service = UnitService(unit, 0)
+            fam = singleton_family("f", service)
+            for evaluate in (run, run_total, partial(run, trace=lambda line: None)):
+                with pytest.raises(AssertionError, match="declared constant reply"):
+                    evaluate(parse("f.m;!t"), fam)
+            with pytest.raises(AssertionError, match="declared constant reply"):
+                service_step(service, "m")
 
     def test_run_total_rejects_a_varying_action_it_never_visits(self):
         # f.succ replies True, so the run ends at !t; f.iszero, reachable
@@ -298,6 +313,26 @@ class TestRun:
         assert fam.entries == {}
         for evaluate in (run, run_total):
             assert evaluate(parse("+f.dup;!t"), fam) == ProvenDivergent(DivergenceCause.MISSING_FOCUS, 0)
+
+    def test_thread_is_not_changed_through_the_mapping_it_was_given(self):
+        # The thread checks and keeps a copy, so a node removed from the
+        # caller's dict afterwards is still run.
+        nodes = {0: PostCond(TAU, 1, 1), 1: STOP_TRUE}
+        thread = RegularThread(nodes, 0)
+        del nodes[1]
+        assert thread.nodes == {0: PostCond(TAU, 1, 1), 1: STOP_TRUE}
+        fam = empty_family()
+        for evaluate in (run, run_total):
+            assert evaluate(thread, fam) == Converged(True, fam, 1)
+
+    def test_tau_only_thread_on_the_empty_family(self):
+        # Slot 0, reserved for the tau step, is the run's only slot.
+        fam = empty_family()
+        halts = RegularThread({0: PostCond(TAU, 1, 1), 1: STOP_TRUE}, 0)
+        loops = RegularThread({0: PostCond(TAU, 0, 0)}, 0)
+        for evaluate in (run, run_total):
+            assert evaluate(halts, fam) == Converged(True, fam, 1)
+            assert evaluate(loops, fam) == ProvenDivergent(DivergenceCause.CYCLE, 1)
 
 
 class TestProjectionsOfRun:

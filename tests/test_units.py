@@ -84,6 +84,16 @@ class TestInterfaces:
         with pytest.raises(InputError, match=message):
             FunctionalUnit("x", operations, str, str)
 
+    def test_unit_is_not_changed_through_the_mapping_it_was_given(self):
+        # The unit checks and keeps a copy, so a method added to the
+        # caller's dict afterwards is in neither its interface nor its steps.
+        operations = {"a": MethodOperation("a", lambda n: (True, n))}
+        unit = FunctionalUnit("x", operations, str, int)
+        operations["m"] = MethodOperation("m", lambda n: (True, n))
+        assert interface(unit) == {"a"} and set(unit.steps) == {"a"}
+        with pytest.raises(InputError, match="^'m' not in interface of x$"):
+            derived_operation(parse("f.m;!t"), unit)
+
 
 class TestCounter:
     def test_values(self):
