@@ -137,16 +137,37 @@ def _cycle(resolved: dict, start: int, node: Any, states: list[Any], period: int
 
 
 _NodeOf = Callable[[NodeId], ThreadNode]
+_Nodes = Mapping[NodeId, ThreadNode]
 
 
-def _start(x: Program | RegularThread) -> tuple[NodeId, _NodeOf]:
-    """The root of ``x`` and its node lookup, by the thread's table or ``_node``."""
+def _start(x: Program | RegularThread) -> tuple[NodeId, _NodeOf, _Nodes | None]:
+    """The root of ``x``, its node lookup, by the thread's table or
+    ``_node``, and the thread's table, None for a program."""
     if type(x) is RegularThread:
-        return x.root, x.nodes.__getitem__
-    return _resolve(x, 1), partial(_node, x)
+        nodes = x.nodes
+        return x.root, nodes.__getitem__, nodes
+    return _resolve(x, 1), partial(_node, x), None
 
 
-def _step_loop(root: NodeId, node_of: _NodeOf, family: ServiceFamily, fuel: float) -> Outcome:
+# The memo of ``run``: the table of resolved nodes of the last finite-fuel
+# run of a thread, as ``(nodes, layout, table)``, where ``nodes`` is the
+# thread's read-only table, held by identity (which also keeps it alive),
+# and ``layout`` the ``(focus, unit)`` of each slot the table was resolved for.
+_memo: tuple = (None, None, None)
+
+
+def _memo_table(nodes: _Nodes, layout: list) -> dict:
+    """The memo's table when it was resolved for ``nodes`` on ``layout``;
+    otherwise a fresh table, which replaces it."""
+    global _memo
+    memo_nodes, memo_layout, table = _memo
+    if memo_nodes is not nodes or memo_layout != layout:
+        table = {}
+        _memo = (nodes, layout, table)
+    return table
+
+
+def _step_loop(root: NodeId, node_of: _NodeOf, family: ServiceFamily, fuel: float, nodes: _Nodes | None) -> Outcome:
     """The step loop of both evaluators, from node ``root``.
 
     Each focus holding a unit gets a slot with that unit's state, from
@@ -159,6 +180,21 @@ def _step_loop(root: NodeId, node_of: _NodeOf, family: ServiceFamily, fuel: floa
     steps is stored in ``resolved``; an end is never stored, since it
     ends the run at its first visit.  An end whose cost takes the run
     past ``fuel`` is FUEL at ``fuel``.
+
+    A stored entry depends only on its node and on the slot and unit of
+    its focus, and neither a thread's ``nodes`` nor a unit's ``steps``
+    can change (both are read-only views).  So a run given ``nodes``, a
+    thread's table, steps from ``_memo``'s table: each node is resolved
+    once per thread and unit layout, not once per run, and the memo
+    holds one table, of no answers.  The loop holds its table by a local
+    name: a run that replaces the memo meanwhile, nested in a unit's
+    step or on another Python thread, leaves that table as it is, and
+    one that shares it stores only what this run would.  ``run_total``
+    passes no ``nodes``, since its table is its visited set, and neither
+    does a program's run: a caller that runs a program on many states
+    extracts its thread first, as ``derived_operation`` does.  A run
+    whose root is a terminal takes no step and leaves the memo as it
+    is; most runs of the ``empty-halting`` sweep are such runs.
 
     Under the fuel ``_UNBOUNDED`` (see ``run_total``) a configuration is
     the node alone: the table is the set of visited nodes, and a node
@@ -183,7 +219,10 @@ def _step_loop(root: NodeId, node_of: _NodeOf, family: ServiceFamily, fuel: floa
         if type(service) is UnitService:
             slots[focus] = len(states)
             states.append(service.state)
-    resolved: dict = {}
+    if nodes is None or type(nodes[root]) is not PostCond:
+        resolved = {}
+    else:
+        resolved = _memo_table(nodes, [(focus, entries[focus].unit) for focus in slots])
     revisit_is_cycle = fuel is _UNBOUNDED
     current = root
     steps = 0
@@ -265,7 +304,10 @@ def run(
     has no outcome by its fuel, fewer than 4n to see a cycle entered at
     step mu with period lambda, n = mu + lambda.  Finding mu replays at
     most 2n + 1 steps more.  The run holds a fixed number of
-    configurations whatever the fuel.
+    configurations whatever the fuel.  Runs of one thread on families
+    that hold the same units on the same foci, in the same order, resolve
+    each node once between them, through a memo of one table (see
+    ``_step_loop``).
 
     ``trace``, when given, is called once per step, in step order and
     before the next step runs, with the line ``pc=<node> action=<action>
@@ -275,8 +317,8 @@ def run(
     step of the outcome.
     """
     _check_fuel(fuel)
-    root, node_of = _start(x)
-    outcome = _step_loop(root, node_of, family, fuel)
+    root, node_of, nodes = _start(x)
+    outcome = _step_loop(root, node_of, family, fuel, nodes)
     if trace is not None:
         _trace(root, node_of, family, outcome.steps, trace)
     return outcome
@@ -309,8 +351,8 @@ def run_total(x: Program | RegularThread, family: ServiceFamily) -> Outcome:
             x = x if type(x) is RegularThread else extract(x)
             _check_constant_replies(x, entries)
             break
-    root, node_of = _start(x)
-    return _step_loop(root, node_of, family, _UNBOUNDED)
+    root, node_of, _ = _start(x)
+    return _step_loop(root, node_of, family, _UNBOUNDED, None)
 
 
 def reply(

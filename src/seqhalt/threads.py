@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Union
 
 from .program import (
@@ -92,10 +93,19 @@ class RegularThread(namedtuple("RegularThread", "nodes root")):
     ``TypeError``.  It keeps a checked ``dict`` copy of ``nodes``, any
     ``collections.abc.Mapping``: each node's exact type is ``PostCond``
     or a terminal type, each ``PostCond`` action's is
-    ``BasicInstruction`` or ``Tau``, and each reference is a node."""
+    ``BasicInstruction`` or ``Tau``, and each reference is a node.
+    ``nodes`` is a read-only view of that copy (``types.MappingProxyType``),
+    so a thread never changes once built; ``machine.run`` relies on it.
+    ``repr``, ``copy`` and ``pickle`` show and carry the copy as a ``dict``."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # and so _replace: both check
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(nodes={self.nodes.copy()!r}, root={self.root!r})"
+
+    def __getnewargs__(self) -> tuple:
+        return self.nodes.copy(), self.root
 
     def __new__(cls, nodes: Mapping[NodeId, ThreadNode], root: NodeId) -> RegularThread:
         if not isinstance(nodes, Mapping):
@@ -114,7 +124,7 @@ class RegularThread(namedtuple("RegularThread", "nodes root")):
                         raise InputError(f"node {ref!r} references missing {target!r}")
             elif kind not in _TERMINAL_TYPES:
                 raise InputError(f"node {ref!r} is not a thread node: {node!r}")
-        return tuple.__new__(cls, (nodes, root))
+        return tuple.__new__(cls, (MappingProxyType(nodes), root))
 
 
 def _is_node(ref: NodeId, nodes: Mapping[NodeId, ThreadNode]) -> bool:
@@ -130,8 +140,8 @@ def _thread(nodes: dict[NodeId, ThreadNode], root: NodeId) -> RegularThread:
     which the caller does not change afterwards (``TRUSTED`` in
     ``tests/test_imports.py``): each node is a terminal or a
     ``PostCond`` of an instruction's action, which the instruction's
-    constructor has checked."""
-    return tuple.__new__(RegularThread, (nodes, root))
+    constructor has checked.  Its ``nodes`` is the same read-only view."""
+    return tuple.__new__(RegularThread, (MappingProxyType(nodes), root))
 
 
 def constant_thread(node: ThreadNode) -> RegularThread:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
+from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 from .program import (
@@ -129,7 +130,11 @@ class FunctionalUnit:
 
     ``operations`` is kept as a checked ``dict`` copy; ``steps`` maps each
     method to its step, built once with the unit by ``_checked_step``;
-    ``varying`` holds the methods that declare no constant reply."""
+    ``varying`` holds the methods that declare no constant reply.  Both
+    mappings are read-only views (``types.MappingProxyType``), so a unit
+    never changes once built and its interface always names its steps;
+    ``machine.run`` relies on it.  ``copy`` and ``pickle`` rebuild a unit
+    through the constructor, from a ``dict`` of its operations."""
 
     name: str
     operations: Mapping[str, MethodOperation] = field(repr=False)
@@ -144,16 +149,20 @@ class FunctionalUnit:
     def __post_init__(self):
         if not isinstance(self.operations, Mapping):
             raise InputError(f"operations must be a mapping, not {type(self.operations).__name__}")
-        object.__setattr__(self, "operations", dict(self.operations.items()))
+        object.__setattr__(self, "operations", MappingProxyType(dict(self.operations.items())))
         for key, op in self.operations.items():
             if type(op) is not MethodOperation:
                 raise InputError(f"not a method operation at {key!r}: {op!r}")
             if key != op.name:
                 raise InputError(f"operation {op.name!r} registered under {key!r}")
         steps = {key: _checked_step(self.name, op) for key, op in self.operations.items()}
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "steps", MappingProxyType(steps))
         varying = frozenset(key for key, op in self.operations.items() if op.constant_reply is None)
         object.__setattr__(self, "varying", varying)
+
+    def __reduce__(self) -> tuple:
+        fields = (self.name, self.operations.copy(), self.format_state, self.parse_state, self.export_state)
+        return type(self), fields
 
 
 def interface(unit: FunctionalUnit) -> frozenset[str]:

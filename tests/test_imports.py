@@ -1,7 +1,8 @@
 """Guards over the package's source: no unused import and none inside a
 function, imports running one way down ``LAYERS``, no orphaned private
-name, caches only bounded and only on the functions ``CACHED`` lists, no
-parser built on import, the count of settable values, no bare
+name, caches only bounded and only on the functions ``CACHED`` lists,
+module state rebound only in the memos ``MEMOS`` lists, no parser built
+on import, the count of settable values, no bare
 ``ValueError`` and no one-argument ``int``, no ``print`` to stdout but
 in ``cli.main``, dispatch on the package's records by exact type, and
 the unchecked constructors read only where ``TRUSTED`` allows.  The ``..._is_found`` and ``..._is_counted`` tests
@@ -169,6 +170,30 @@ CACHED = ["cli._build_parser"]
 def test_only_listed_functions_cache():
     found = [name for p in SOURCES for name in cached_functions(ast.parse(p.read_text()), p.stem)]
     assert found == CACHED
+
+
+def rebound_globals(tree: ast.Module, module: str) -> list[str]:
+    """``module.name`` of each name a function rebinds by a ``global``
+    statement."""
+    return [f"{module}.{name}" for node in ast.walk(tree) if isinstance(node, ast.Global) for name in node.names]
+
+
+# The one module-level name a function rebinds: the memo of machine.run.
+# It holds one table of resolved nodes, of the last thread run under a
+# finite fuel, and no answers, so it does not grow with the runs made;
+# each new piece of module state must be listed here with the reason it
+# is safe.
+MEMOS = ["machine._memo"]
+
+
+def test_only_listed_memos_are_rebound():
+    found = [name for p in SOURCES for name in rebound_globals(ast.parse(p.read_text()), p.stem)]
+    assert found == MEMOS
+
+
+def test_rebound_global_is_found():
+    tree = ast.parse("_a = _b = None\ndef f():\n    global _a, _b\n    _a = 1\ndef g():\n    _c = 2\n")
+    assert rebound_globals(tree, "m") == ["m._a", "m._b"]
 
 
 def test_import_builds_no_parser():

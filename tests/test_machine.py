@@ -1,6 +1,8 @@
 import copy
 import pickle
 import random
+import sys
+import threading
 import tracemalloc
 from functools import partial
 from typing import get_args
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import frozen_machine
 from conftest import Fuel, counter_family, dup_family, random_family, random_program
 from seqhalt import machine
 from seqhalt.machine import (
@@ -35,8 +38,8 @@ from seqhalt.services import (
     service_step,
     singleton_family,
 )
-from seqhalt.threads import PostCond, RegularThread, STOP_TRUE, TAU, extract
-from seqhalt.units import FunctionalUnit, MethodOperation, at_left, counter_unit
+from seqhalt.threads import PostCond, RegularThread, STOP_TRUE, TAU, constant_thread, extract
+from seqhalt.units import FunctionalUnit, MethodOperation, at_left, counter_unit, dup_witness_program, tape_basic_unit
 
 
 def counting_counter_family(n, calls):
@@ -333,6 +336,97 @@ class TestRun:
         for evaluate in (run, run_total):
             assert evaluate(halts, fam) == Converged(True, fam, 1)
             assert evaluate(loops, fam) == ProvenDivergent(DivergenceCause.CYCLE, 1)
+
+
+class TestRunMemo:
+    """``run``'s memo: the table of resolved nodes of the last finite-fuel
+    run of a thread, kept for the next run of that thread on the same
+    unit layout."""
+
+    def test_memo_holds_the_last_thread_run_alone(self, monkeypatch):
+        a, b = extract(parse("f.succ;!t")), extract(parse("f.succ;f.succ;!t"))
+        family = counter_family(0)
+        looked_up = []
+        memo_table = machine._memo_table
+        monkeypatch.setattr(machine, "_memo_table", lambda *args: looked_up.append(args[0]) or memo_table(*args))
+        run(a, family)
+        run(b, family)
+        # Neither a program's run, nor run_total, nor a run that ends at
+        # its root looks the memo up.
+        run(parse("f.succ;!t"), family)
+        run_total(b, family)
+        run(constant_thread(STOP_TRUE), family)
+        assert len(looked_up) == 2 and looked_up[0] is a.nodes and looked_up[1] is b.nodes
+        nodes, layout, table = machine._memo
+        assert nodes is b.nodes and layout == [("f", counter_unit())]
+        assert set(table) == {1, 2}  # b's two steps: an end is never stored
+
+    def test_a_thread_on_another_layout_resolves_afresh(self):
+        # f.succ steps slot 1 on the first family and slot 2 on the
+        # second, where g takes slot 1: the memo must not step the old slot.
+        thread = extract(parse("f.succ;!t"))
+        one = parse_family("f=counter:0")
+        two = ServiceFamily({"g": UnitService(counter_unit(), 5), "f": UnitService(counter_unit(), 0)})
+        for family in (one, two, one, two):
+            assert run(thread, family) == frozen_machine.run(thread, family, 10**6)
+
+    @pytest.mark.parametrize("nested", ["same", "other"])
+    def test_a_run_nested_in_a_step_keeps_the_outer_table(self, nested):
+        # A unit step that runs a thread itself: the same thread on the
+        # same layout shares the outer run's table, another thread
+        # replaces the memo; the outer run goes on from its own table.
+        outer = extract(parse("f.inner;f.succ;f.inner;+f.iszero;!t;!f"))
+        other = extract(parse("f.succ;f.succ;!t"))
+        inner_thread = outer if nested == "same" else other
+
+        def inner(n):
+            if n == 0:  # the nested run starts at 1, so it nests no further
+                run(inner_thread, singleton_family("f", UnitService(unit, 1)))
+            return True, n
+
+        operations = dict(counter_unit().operations, inner=MethodOperation("inner", inner, True))
+        unit = FunctionalUnit("nesting", operations, str, int)
+        family = singleton_family("f", UnitService(unit, 0))
+        expected = Converged(False, singleton_family("f", UnitService(unit, 1)), 4)
+        assert frozen_machine.run(outer, family, 100) == expected
+        assert run(outer, family) == run(outer, family) == expected
+
+    def test_runs_on_python_threads_share_the_memo_soundly(self):
+        # Workers run threads in turn on their own layouts, so each keeps
+        # replacing the memo, and two of them run the same thread on the
+        # same layout, so they share one table.
+        witness = extract(dup_witness_program())
+        looping = extract(parse("+f.pred;\\#1;g.succ;!t"))
+        tapes = [at_left(w) for w in ("", "1", "01", "1:0")]
+        cases = [
+            [(witness, singleton_family("f", UnitService(tape_basic_unit(), t))) for t in tapes],
+            [(witness, singleton_family("f", UnitService(tape_basic_unit(), t))) for t in reversed(tapes)],
+            [(looping, parse_family(f"f=counter:{n},g=counter:0")) for n in (20, 40, 60, 80)],
+            [(looping, parse_family(f"g=counter:0,f=counter:{n}")) for n in (20, 40, 60, 80)],
+        ]
+        expected = [[frozen_machine.run(t, fam, 500) for t, fam in worker] for worker in cases]
+        wrong = []
+        start = threading.Barrier(len(cases))
+
+        def work(index):
+            start.wait(timeout=60)
+            for _ in range(100):
+                for (thread, family), outcome in zip(cases[index], expected[index]):
+                    if run(thread, family, 500) != outcome:
+                        wrong.append((index, family))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert wrong == []
 
 
 class TestProjectionsOfRun:

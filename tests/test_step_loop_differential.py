@@ -2,7 +2,9 @@
 random programs, threads, families and fuels: outcome, steps, cause,
 final family and trace lines.  A program is passed both extracted and
 as it is, where the run resolves each node on its first visit; the
-reference then runs the frozen original ``extract``'s thread."""
+reference then runs the frozen original ``extract``'s thread.  Sequences
+of runs check that ``run``'s memo of resolved nodes, kept from one run
+of a thread to the next, never changes an answer."""
 
 import random
 
@@ -13,8 +15,20 @@ from hypothesis import strategies as st
 import frozen_machine
 import frozen_walk
 from conftest import random_thread
-from seqhalt.machine import DivergenceCause, FuelExhausted, ProvenDivergent, run, run_total
+from seqhalt.machine import (
+    UNDEFINED,
+    UNKNOWN,
+    Applied,
+    Converged,
+    DivergenceCause,
+    FuelExhausted,
+    ProvenDivergent,
+    derived_operation,
+    run,
+    run_total,
+)
 from seqhalt.program import (
+    FOCUS,
     TERM_FALSE,
     TERM_TRUE,
     BasicInstruction,
@@ -25,10 +39,11 @@ from seqhalt.program import (
     Plain,
     PosTest,
     Program,
+    foreign_action,
     parse,
 )
-from seqhalt.services import EMPTY_SERVICE, ServiceFamily, UnitService, parse_family
-from seqhalt.threads import TAU, PostCond, RegularThread, extract
+from seqhalt.services import EMPTY_SERVICE, ServiceFamily, UnitService, parse_family, singleton_family
+from seqhalt.threads import STOP_FALSE, STOP_TRUE, TAU, PostCond, RegularThread, extract
 from seqhalt.units import (
     TapeState,
     counter_unit,
@@ -65,11 +80,11 @@ st_family = st.tuples(st_service, st_service, st_service).filter(
 st_fuel = st.integers(1, 300)
 
 
-def st_program(family, methods=METHODS):
-    """Programs over foci f and g.  Most methods are drawn from the
-    interface of the unit at their focus, so that runs tend to get past
-    their first steps, and half the programs end with a jump back to
-    their first instruction, so that runs tend to loop."""
+def st_program(family, methods=METHODS, foci="fg"):
+    """Programs over ``foci``, by default f and g.  Most methods are drawn
+    from the interface of the unit at their focus, so that runs tend to
+    get past their first steps, and half the programs end with a jump
+    back to their first instruction, so that runs tend to loop."""
 
     def st_method(focus):
         service = family.entries.get(focus)
@@ -77,7 +92,7 @@ def st_program(family, methods=METHODS):
         fitting = sorted(set(methods).intersection(offered)) or list(methods)
         return st.one_of(st.sampled_from(fitting), st.sampled_from(fitting), st.sampled_from(methods))
 
-    basic = st.one_of(*(st.builds(BasicInstruction, st.just(f), st_method(f)) for f in "fg"))
+    basic = st.one_of(*(st.builds(BasicInstruction, st.just(f), st_method(f)) for f in foci))
     instruction = st.one_of(
         st.builds(Plain, basic),
         st.builds(PosTest, basic),
@@ -271,3 +286,95 @@ def test_run_total_proves_a_long_cycle(n):
     assert outcome == ProvenDivergent(DivergenceCause.CYCLE, n)
     assert outcome == frozen_machine.run_total(thread, family)
     assert run_total(x, family) == outcome
+
+
+# The stock units, and the states ``st_service`` draws for each, by name.
+UNITS = (counter_unit(), tape_basic_unit(), dup_unit(), halting_empty_unit())
+ST_STATE = {"counter": st.integers(0, 4), "tapebasic": st_tape, "dup": st_tape, "halting-empty": st_tape}
+
+
+def swapped(family):
+    """``family`` with its foci in the reverse order, so that its units
+    take each other's slots."""
+    return ServiceFamily(dict(reversed(family.entries.items())))
+
+
+def st_restated(family):
+    """``family`` with fresh states for its units: the same units on the
+    same foci, in the same order."""
+    entries = family.entries
+    services = {
+        focus: st.builds(UnitService, st.just(s.unit), ST_STATE[s.unit.name]) if isinstance(s, UnitService) else st.just(s)
+        for focus, s in entries.items()
+    }
+    return st.fixed_dictionaries(services).map(lambda drawn: ServiceFamily({focus: drawn[focus] for focus in entries}))
+
+
+def reference_derived(x, unit, state, fuel):
+    """The derived operation of ``x`` over ``unit`` at ``state`` by the
+    frozen loop on the frozen ``extract``'s thread, or ``InputError``
+    when ``x`` acts outside the unit's interface."""
+    if foreign_action(x, interface(unit)) is not None:
+        return InputError
+    outcome = frozen_machine.run(frozen_walk.extract(x), singleton_family(FOCUS, UnitService(unit, state)), fuel)
+    if type(outcome) is Converged:
+        return Applied(outcome.reply, outcome.family.entries[FOCUS].state)
+    return UNDEFINED if type(outcome) is ProvenDivergent else UNKNOWN
+
+
+def derived_operation_or_error(x, unit, state, fuel):
+    try:
+        evaluate = derived_operation(x, unit, fuel)
+    except InputError:
+        return InputError
+    return evaluate(state)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_runs_in_sequence_match_reference(data):
+    # Two threads, one over focus f alone, run in turn on a small pool of
+    # families: a base, its foci swapped, and others that put other units
+    # on f or g, or leave a focus missing or empty.  Each run restates its
+    # family, so a layout recurs with other states.  run_total and
+    # derived_operation, on the same programs, come between the runs.
+    base = data.draw(st_family)
+    programs = [data.draw(st_program(base, foci="f")), data.draw(st_program(base))]
+    threads = [extract(x) for x in programs]
+    pool = [base, swapped(base), *data.draw(st.lists(st_family, min_size=1, max_size=3))]
+    for _ in range(data.draw(st.integers(2, 12))):
+        kind = data.draw(st.sampled_from(["run", "run", "run", "run_total", "derived"]))
+        which = data.draw(st.integers(0, 1))
+        family = data.draw(st_restated(data.draw(st.sampled_from(pool))))
+        thread = threads[which]
+        if kind == "run":
+            fuel = data.draw(st_fuel)
+            assert run(thread, family, fuel) == frozen_machine.run(thread, family, fuel)
+        elif kind == "run_total":
+            assert run_total_or_error(run_total, thread, family) == run_total_or_error(
+                frozen_machine.run_total, thread, family
+            )
+        else:
+            service = family.entries.get(FOCUS)
+            unit = service.unit if isinstance(service, UnitService) else data.draw(st.sampled_from(UNITS))
+            state, fuel = data.draw(ST_STATE[unit.name]), data.draw(st_fuel)
+            x = programs[which]
+            assert derived_operation_or_error(x, unit, state, fuel) == reference_derived(x, unit, state, fuel)
+
+
+@pytest.mark.parametrize(
+    "thread",
+    [RegularThread({0: PostCond(TAU, "S+", "S+"), "S+": STOP_TRUE}, 0), extract(parse("f.succ;!t"))],
+    ids=["checked", "extracted"],
+)
+def test_a_thread_cannot_be_changed_after_it_is_built(thread):
+    # A run may step from nodes resolved in an earlier run of the thread,
+    # so its table is read-only.
+    family = parse_family("f=counter:0")
+    outcome = run(thread, family)
+    root = thread.root
+    with pytest.raises(TypeError):
+        thread.nodes[root] = STOP_FALSE
+    with pytest.raises(TypeError):
+        del thread.nodes[root]
+    assert run(thread, family) == outcome == frozen_machine.run(thread, family, 10**6)

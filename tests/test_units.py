@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import pickle
 import random
@@ -93,6 +94,30 @@ class TestInterfaces:
         assert interface(unit) == {"a"} and set(unit.steps) == {"a"}
         with pytest.raises(InputError, match="^'m' not in interface of x$"):
             derived_operation(parse("f.m;!t"), unit)
+
+    def test_unit_cannot_be_changed_after_it_is_built(self):
+        # Its operations and steps are read-only, so its interface always
+        # names its steps, and a run may keep the steps it resolved.
+        unit = FunctionalUnit("x", {"a": MethodOperation("a", lambda n: (True, n))}, str, int)
+        with pytest.raises(TypeError):
+            unit.operations["m"] = MethodOperation("m", lambda n: (True, n))
+        with pytest.raises(TypeError):
+            del unit.operations["a"]
+        with pytest.raises(TypeError):
+            unit.steps["m"] = lambda n: (True, n)
+        assert interface(unit) == {"a"} and set(unit.steps) == {"a"}
+        with pytest.raises(InputError, match="^'m' not in interface of x$"):
+            derived_operation(parse("f.m;!t"), unit)
+
+    def test_unit_copies_and_replaces(self):
+        # A copy is rebuilt through the constructor, as a replace is.
+        unit = counter_unit()
+        for clone in (copy.copy(unit), copy.deepcopy(unit), dataclasses.replace(unit)):
+            assert type(clone) is FunctionalUnit and clone == unit and interface(clone) == set(clone.steps)
+            outcome = run(parse("f.succ;f.succ;!t"), singleton_family("f", UnitService(clone, 0)))
+            assert outcome.family.entries["f"].state == 2
+        renamed = dataclasses.replace(unit, name="tally")
+        assert renamed.name == "tally" and interface(renamed) == interface(unit)
 
 
 class TestCounter:
